@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import kernels
+from .linalg import FourierMotzkinBlowup
 from .bruhat import (
     admissible_pairs,
     bruhat_leq,
@@ -402,7 +403,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, FourierMotzkinBlowup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

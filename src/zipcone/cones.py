@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -18,6 +19,7 @@ from .weylroot import (
     Character,
     RatCharacter,
     Root,
+    RootKind,
     WeylElem,
     levi_simple_roots,
     long_orbit,
@@ -179,10 +181,45 @@ def lmin_member_enumerated(lam: AnyCharacter, p: int) -> bool:
     return True
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def coroot_form_multipliers(alpha: Root, n: int) -> tuple[Fraction, ...]:
+    """Multipliers writing the coroot functional of a root outside the Levi
+    over the rows {a_i <= 0} of pha_wmax_cone: the coroot row of e_i+e_j is
+    row i plus row j, and the coroot row of 2e_i is row i."""
+    mults = [_ZERO] * n
+    mults[alpha.i - 1] = _ONE
+    if alpha.kind is RootKind.SUM:
+        mults[alpha.j - 1] = _ONE
+    return tuple(mults)
+
+
+def coordinate_form_multipliers(i: int, roots: Sequence[Root]) -> tuple[Fraction, ...]:
+    """Multipliers writing a_i <= 0 over the coroot rows of `roots`: the
+    coroot row of 2e_i with multiplier 1, every other multiplier 0."""
+    return tuple(
+        _ONE if alpha.kind is RootKind.LONG and alpha.i == i else _ZERO for alpha in roots
+    )
+
+
+def prefix_multipliers(n: int, p: int, j: int) -> tuple[Fraction, ...]:
+    """Multipliers writing prefix_functional(n, p, j) over the rows
+    {a_i <= 0} of pha_wmax_cone: p on rows <= j and 1 on rows > j.  The rows
+    are linearly independent, so these are the only multipliers."""
+    fp = Fraction(p)
+    return tuple(fp if i <= j else _ONE for i in range(1, n + 1))
+
+
 def pha_wmax_cone(n: int) -> Cone:
     """{a_i <= 0 for all i}: the weight cone of the top stratum.  Generators
-    are the negated basis characters plus the free b-line.  Equivalence with
-    the description by coroots outside the Levi is Farkas-certified here."""
+    are the negated basis characters plus the free b-line.
+
+    The equivalence with the description by coroots outside the Levi is
+    certified in both directions by Farkas certificates whose multipliers
+    are closed form (coroot_form_multipliers, coordinate_form_multipliers)
+    and checked exactly on construction; no Fourier-Motzkin search runs."""
     rows = []
     for i in range(1, n + 1):
         row = [0] * (n + 1)
@@ -196,16 +233,12 @@ def pha_wmax_cone(n: int) -> Cone:
     gens.append((0,) * n + (1,))
     gens.append((0,) * n + (-1,))
     cone = Cone(n + 1, tuple(rows), tuple(gens), label="pha-wmax")
-    alt = [coroot_functional(alpha, n) for alpha in non_levi_positive_roots(n)]
-    for row in alt:
-        cert = farkas_implies(row, cone)
-        if not cert.implied:
-            raise AssertionError(f"{row} not implied by the coordinate form")
-    alt_cone = Cone(n + 1, tuple(alt), label="pha-wmax-coroot-form")
-    for row in rows:
-        cert = farkas_implies(row, alt_cone)
-        if not cert.implied:
-            raise AssertionError(f"{row} not implied by the coroot form")
+    roots = non_levi_positive_roots(n)
+    alt = tuple(coroot_functional(alpha, n) for alpha in roots)
+    for alpha, row in zip(roots, alt):
+        FarkasCertificate(row, cone.hform, multipliers=coroot_form_multipliers(alpha, n))
+    for i, row in enumerate(rows, start=1):
+        FarkasCertificate(row, alt, multipliers=coordinate_form_multipliers(i, roots))
     return cone
 
 
@@ -234,7 +267,8 @@ def _check_p(p: int) -> None:
 class FarkasCertificate:
     """Either nonnegative multipliers writing the target as a combination of
     the system rows (implication over the cone), or a rational witness in
-    the cone violating the target.  Self-verifying on construction."""
+    the cone violating the target.  Self-verifying on construction; the
+    multipliers are checked exactly in integer arithmetic."""
 
     target: IntRow
     system: tuple[IntRow, ...]
@@ -249,7 +283,8 @@ class FarkasCertificate:
                 raise ValueError("one multiplier per system row required")
             if any(m < 0 for m in self.multipliers):
                 raise AssertionError("multipliers must be nonnegative")
-            if any(c != 0 for c in self.residual):
+            _, acc = self._scaled_residual()
+            if any(acc):
                 raise AssertionError(f"nonzero residual {self.residual}")
         else:
             for row in self.system:
@@ -257,6 +292,19 @@ class FarkasCertificate:
                     raise AssertionError("witness violates the system")
             if linalg.dot(self.target, self.witness) <= 0:
                 raise AssertionError("witness does not violate the target")
+
+    def _scaled_residual(self) -> tuple[int, list]:
+        """(L, L * residual), with L the lcm of the multiplier denominators:
+        integer arithmetic only, and zero multipliers are skipped."""
+        nonzero = [(m, row) for m, row in zip(self.multipliers, self.system) if m]
+        scale = lcm(*(m.denominator for m, _ in nonzero))
+        acc = [scale * t for t in self.target]
+        for m, row in nonzero:
+            c = m.numerator * (scale // m.denominator)
+            for k, x in enumerate(row):
+                if x:
+                    acc[k] -= c * x
+        return scale, acc
 
     @property
     def implied(self) -> bool:
@@ -267,12 +315,8 @@ class FarkasCertificate:
         """target minus the recombined multipliers; must vanish identically."""
         if self.multipliers is None:
             raise ValueError("no multipliers on a witness certificate")
-        dim = len(self.target)
-        acc = [Fraction(t) for t in self.target]
-        for m, row in zip(self.multipliers, self.system):
-            for k in range(dim):
-                acc[k] -= m * row[k]
-        return tuple(acc)
+        scale, acc = self._scaled_residual()
+        return tuple(Fraction(a, scale) for a in acc)
 
     def to_json_dict(self) -> dict:
         out = {

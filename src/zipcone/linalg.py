@@ -1,8 +1,14 @@
-"""Small exact linear algebra over Fraction, plus a Fourier-Motzkin oracle.
+"""Small exact linear algebra, plus a Fourier-Motzkin oracle.
 
-Everything here is exact rational arithmetic; no floating point.  The
-dimensions in this package are tiny (at most rank + 1), so plain Gaussian
-elimination and provenance-tracked Fourier-Motzkin are entirely adequate.
+Everything here is exact; no floating point.  The dimensions in this
+package are tiny (at most rank + 1).  `rank` runs fraction-free Bareiss
+elimination over integer rows; `solve_square` and `det` use plain Gaussian
+elimination over Fraction.  `farkas_split` is provenance-tracked
+Fourier-Motzkin elimination: a search, used only for implications whose
+multipliers are not known in closed form, such as the targets of the
+`farkas` verb.  The envelope certificate and the equivalence proof in
+`cones.pha_wmax_cone` carry closed-form multipliers, checked exactly by
+`cones.FarkasCertificate`, and never call it.
 """
 
 from __future__ import annotations
@@ -16,32 +22,57 @@ Vector = tuple[Fraction, ...]
 _MAX_FM_ROWS = 200_000
 
 
+class FourierMotzkinBlowup(RuntimeError):
+    """Fourier-Motzkin elimination produced more rows than `_MAX_FM_ROWS`."""
+
+    def __init__(self, var: int, dim: int, rows: int, limit: int):
+        super().__init__(
+            f"Fourier-Motzkin blow-up eliminating variable {var + 1} of {dim}: "
+            f"{rows} rows exceed the limit of {limit}"
+        )
+
+
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return sum(a * b for a, b in zip(u, v))
 
 
+def _integer_row(row: Sequence) -> list[int]:
+    """The row scaled by the lcm of its denominators: same span, integer entries."""
+    if all(isinstance(x, int) for x in row):
+        return list(row)
+    fr = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (scale // x.denominator) for x in fr]
+
+
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix by Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Rank of a rational matrix by fraction-free (Bareiss) elimination.
+
+    Each row is cleared of denominators first.  After a pivot step every
+    entry below the pivot row is a minor of the integer matrix, so the
+    division by the previous pivot is exact.
+    """
+    mat = [_integer_row(row) for row in rows]
     if not mat:
         return 0
-    ncols = len(mat[0])
+    m = len(mat)
+    prev = 1
     r = 0
-    for col in range(ncols):
-        piv = next((k for k in range(r, len(mat)) if mat[k][col] != 0), None)
+    for col in range(len(mat[0])):
+        piv = next((k for k in range(r, m) if mat[k][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][col] != 0:
-                f = mat[k][col]
-                mat[k] = [a - f * b for a, b in zip(mat[k], mat[r])]
+        top = mat[r]
+        pv = top[col]
+        for k in range(r + 1, m):
+            a = mat[k][col]
+            mat[k] = [(pv * x - a * y) // prev for x, y in zip(mat[k], top)]
+        prev = pv
         r += 1
-        if r == len(mat):
+        if r == m:
             break
     return r
 
@@ -88,15 +119,9 @@ def det(a: Sequence[Sequence]) -> Fraction:
 def primitive(v: Sequence) -> tuple[int, ...]:
     """Scale a rational vector by the least positive rational that makes it
     integral with coprime entries; the zero vector stays zero."""
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    scale = lcm(*(x.denominator for x in fr))
-    ints = [int(x * scale) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    ints = _integer_row(v)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 def _normalized(coeffs, rhs, prov):
@@ -119,6 +144,8 @@ def farkas_split(rows: Sequence[Sequence], target: Sequence):
     Returns ("multipliers", mu) with target == sum(mu_k * rows_k), all mu_k >= 0,
     or ("witness", x) with rows(x) <= 0 componentwise and target(x) >= 1.
     Fourier-Motzkin elimination with provenance tracking; exact throughout.
+    Raises FourierMotzkinBlowup when an elimination step exceeds
+    `_MAX_FM_ROWS` rows.
     """
     dim = len(target)
     m = len(rows)
@@ -190,9 +217,9 @@ def farkas_split(rows: Sequence[Sequence], target: Sequence):
                     continue
                 key = (coeffs, rhs)
                 new_rows.setdefault(key, (coeffs, rhs, pv2))
+            if len(new_rows) > _MAX_FM_ROWS:
+                raise FourierMotzkinBlowup(var, dim, len(new_rows), _MAX_FM_ROWS)
         system = list(new_rows.values())
-        if len(system) > _MAX_FM_ROWS:
-            raise RuntimeError("Fourier-Motzkin blow-up; system too large")
 
     for row in system:
         mult = settle_constant(row)

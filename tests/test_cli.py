@@ -183,3 +183,17 @@ def test_mirror_error_names_pair(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "w(1) + w(4)" in err
+
+
+def test_farkas_blowup_exits_2_with_message(capsys, monkeypatch):
+    import zipcone.linalg
+
+    monkeypatch.setattr(zipcone.linalg, "_MAX_FM_ROWS", 10)
+    code, out, err = invoke(
+        capsys, "farkas", "--cone", "lmin-i", "--p", "3", "--target", "9,8,7,6,5|0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Fourier-Motzkin blow-up eliminating variable ")
+    assert "of 6: " in err and "exceed the limit of 10" in err
+    assert "Traceback" not in err
