@@ -8,7 +8,7 @@ envelope certificate in `certify`; oracle sweeps in `sweeps`; the CLI in
 `cli`.  All arithmetic is exact (integers and Fractions).
 """
 
-from .kernels import BACKEND, backend_name
+from .kernels import BACKEND
 from .weylroot import (
     Character,
     RatCharacter,
@@ -71,7 +71,6 @@ from .cones import (
     n3_exact_cone,
     pha_w_member,
     pha_wmax_cone,
-    saturation_member,
 )
 from .certify import Certificate, EnvelopeCheck, envelope_certificate
 

@@ -18,9 +18,8 @@ from .weylroot import (
     levi_elements,
     levi_simple_roots,
     non_levi_positive_roots,
-    positive_roots,
     reflection,
-    weyl_elements,
+    reflection_windows,
 )
 
 
@@ -107,13 +106,19 @@ def lower_neighbors(w: WeylElem) -> NeighborSet:
 
 
 def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:
-    """E_w by brute force: test every positive root for a length-1 Bruhat drop."""
-    n = w.n
-    lw = w.length()
+    """E_w by brute force: test every positive root for a length-1 Bruhat drop.
+
+    Still brute force over all n^2 positive roots, with no shortcut from the
+    admissible-pair theory, so it stays independent of `lower_neighbors`.
+    It works on raw windows: w * s_alpha is composed with the per-rank
+    reflection window and checked by the length and rank-matrix kernels.
+    """
+    win = w.window
+    lw = kernels.length(win)
     roots = []
-    for alpha in positive_roots(n):
-        ws = compose(w, reflection(alpha, n))
-        if ws.length() == lw - 1 and bruhat_leq(ws, w):
+    for alpha, s in reflection_windows(w.n).items():
+        ws = kernels.compose(win, s)
+        if kernels.length(ws) == lw - 1 and kernels.bruhat_leq(ws, win):
             roots.append(alpha)
     return NeighborSet(w, frozenset(roots))
 
@@ -153,7 +158,7 @@ def enum_IW(n: int) -> list[WeylElem]:
         for idx, val in enumerate(chosen):
             inv[idx] = val
             inv[m - 1 - idx] = m + 1 - val
-        out.append(WeylElem(tuple(inv)).inverse())
+        out.append(WeylElem._trusted(tuple(inv)).inverse())
     out.sort(key=lambda w: (w.length(), w.window))
     return out
 
@@ -190,10 +195,3 @@ def stratum_dim(w: WeylElem) -> int:
     dim_parabolic = dim_levi + len(non_levi_positive_roots(n))
     return w.length() + dim_parabolic
 
-
-def cover_edges(n: int) -> dict[WeylElem, list[WeylElem]]:
-    """w -> its lower neighbors w*s_alpha, for every element of the group."""
-    out = {}
-    for w in weyl_elements(n):
-        out[w] = [compose(w, reflection(a, n)) for a in lower_neighbors(w).roots]
-    return out

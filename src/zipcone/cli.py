@@ -344,15 +344,32 @@ def _cmd_bruhat(args) -> int:
     return 0
 
 
+def _check_sweep_args(args, ranks: list[int]) -> None:
+    if not ranks:
+        raise UsageError("--n needs at least one rank")
+    for n in ranks:
+        if n < 1:
+            raise UsageError(f"--n must be at least 1, got {n}")
+        if args.suite == "redundancy" and n < 2:
+            raise UsageError(
+                f"--suite redundancy needs --n at least 2 (its claim is about rank >= 2), got {n}"
+            )
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.samples < 0:
+        raise UsageError(f"--samples must be at least 0, got {args.samples}")
+
+
 def _cmd_sweep(args) -> int:
     ranks = _int_list(args.n)
     ps = _int_list(args.p) if args.p else []
+    _check_sweep_args(args, ranks)
     results = []
     for n in ranks:
         if args.suite == "gamma":
             results.append(gamma_suite(n, jobs=args.jobs))
         elif args.suite == "bruhat":
-            results.append(bruhat_suite(n, samples=args.samples, seed=args.seed, jobs=args.jobs))
+            results.append(bruhat_suite(n, samples=args.samples, seed=args.seed))
         elif args.suite == "lmin-oracle":
             if not ps:
                 raise UsageError("--suite lmin-oracle requires --p")
@@ -364,7 +381,7 @@ def _cmd_sweep(args) -> int:
                 raise UsageError("--suite redundancy requires --p")
             samples = args.samples or 100
             for p in ps:
-                results.append(redundancy_suite(n, p, samples, args.seed, jobs=args.jobs))
+                results.append(redundancy_suite(n, p, samples, args.seed))
     payload = {"seed": args.seed, "results": [r.to_json_dict() for r in results]}
     lines = []
     for r in results:

@@ -73,20 +73,13 @@ class Cone:
                     raise ValueError(f"generator {g} violates {bad[0]}")
 
     def member(self, x) -> bool:
+        """Rational membership.  The inequalities are homogeneous, so this is
+        also membership in the saturation; the parity constraint plays no
+        part."""
         v = _as_vector(x)
         if len(v) != self.dim:
             raise ValueError(f"vector {v} has wrong dimension for {self.label}")
         return all(linalg.dot(row, v) <= 0 for row in self.hform)
-
-
-def saturation_member(lam, cone: Cone) -> bool:
-    """Membership in the saturation: some positive multiple lies in the cone.
-
-    For a cone in inequality form this equals rational membership, since
-    homogeneous inequalities are invariant under positive scaling; lattice
-    subtleties such as the parity constraint never survive saturation.
-    """
-    return cone.member(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def anchor_element(n: int, d: int) -> WeylElem:
         window[m - d + i - 1] = i
     for pos in range(d + 1, m - d + 1):
         window[pos - 1] = m + 1 - pos
-    return WeylElem(tuple(window))
+    return WeylElem._trusted(tuple(window))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,3 @@ length = _impl.length
 bruhat_leq = _impl.bruhat_leq
 rank_entry = _impl.rank_entry
 admissible_pairs = _impl.admissible_pairs
-
-
-def backend_name() -> str:
-    return BACKEND

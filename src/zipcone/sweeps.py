@@ -23,7 +23,7 @@ from .cones import (
     lmin_member_enumerated,
     prefix_functional,
 )
-from .weylroot import RatCharacter, WeylElem, weyl_elements
+from .weylroot import RatCharacter, WeylElem, compose, reflection, weyl_elements
 
 _MAX_REPORTED_FAILURES = 20
 
@@ -39,7 +39,8 @@ class SweepResult:
 
     @property
     def ok(self) -> bool:
-        return self.passed == self.total
+        """All checks passed, and there was at least one: zero work is not ok."""
+        return self.total > 0 and self.passed == self.total
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,9 +72,10 @@ def _pmap(fn, chunks, jobs):
 
 
 def _gamma_chunk(windows):
+    # the windows come from weyl_elements, so they need no re-validation
     bad = []
     for win in windows:
-        w = WeylElem(win)
+        w = WeylElem._trusted(win)
         if lower_neighbors(w).roots != lower_neighbors_oracle(w).roots:
             bad.append(str(w))
     return len(windows), bad
@@ -107,15 +109,13 @@ def cover_closure_bits(elements: list[WeylElem]) -> dict[WeylElem, int]:
     for w in sorted(elements, key=lambda x: x.length()):
         mask = 1 << index[w]
         n = w.n
-        from .weylroot import compose, reflection
-
         for alpha in lower_neighbors(w).roots:
             mask |= bits[compose(w, reflection(alpha, n))]
         bits[w] = mask
     return bits
 
 
-def bruhat_suite(n: int, samples: int = 0, seed: int = 0, jobs: int = 1) -> SweepResult:
+def bruhat_suite(n: int, samples: int = 0, seed: int = 0) -> SweepResult:
     """Exhaustive over all pairs when no sample count is given (sensible for
     n <= 3); otherwise a seeded sample of pairs."""
     elements = list(weyl_elements(n))
@@ -198,10 +198,13 @@ def lmin_oracle_suite(n: int, p: int, samples: int, seed: int, jobs: int = 1) ->
 # redundancy: the j=n prefix functional and the sum-orbit subsets
 
 
-def redundancy_suite(n: int, p: int, samples: int, seed: int, jobs: int = 1) -> SweepResult:
+def redundancy_suite(n: int, p: int, samples: int, seed: int) -> SweepResult:
     """Two claims inside the dominance region: the last prefix functional is
     implied by the others, and the prefix system alone already decides
-    membership in the full orbit-inequality cone."""
+    membership in the full orbit-inequality cone.  The first claim needs
+    n >= 2 (in rank 1 there are no other functionals)."""
+    if n < 2:
+        raise ValueError(f"the redundancy suite needs rank at least 2, got {n}")
     lines = []
     failures = []
     total = 1 + samples

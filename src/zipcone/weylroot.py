@@ -8,11 +8,13 @@ Everything is immutable and exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Union
+from types import MappingProxyType
+from typing import Iterator, Mapping, Union
 
 from . import kernels
 
@@ -319,7 +321,14 @@ def is_I_dominant(lam: AnyCharacter) -> bool:
 
 @dataclass(frozen=True)
 class WeylElem:
-    """A mirror window (w(1), ..., w(2n))."""
+    """A mirror window (w(1), ..., w(2n)).
+
+    Windows are validated once, at the boundary: the public constructor,
+    `parse` (the only way the CLI reads a window) and certificate loading
+    check that the window is a mirror permutation.  Products, inverses,
+    reflections and the enumeration helpers build mirror windows by
+    construction and wrap them with `_trusted`, which skips the check.
+    """
 
     window: tuple[int, ...]
 
@@ -339,6 +348,14 @@ class WeylElem:
                 f"{w[i - 1] + w[m - i]}, expected {m + 1}"
             )
 
+    @classmethod
+    def _trusted(cls, window: tuple[int, ...]) -> "WeylElem":
+        """Wrap a tuple of ints that is a mirror window by construction,
+        without validating it.  Internal: never pass user input here."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "window", window)
+        return w
+
     @property
     def n(self) -> int:
         return len(self.window) // 2
@@ -352,7 +369,7 @@ class WeylElem:
         return compose(self, other)
 
     def inverse(self) -> "WeylElem":
-        return WeylElem(kernels.invert(self.window))
+        return WeylElem._trusted(kernels.invert(self.window))
 
     def length(self) -> int:
         return kernels.length(self.window)
@@ -403,7 +420,7 @@ def _check_ranks(u: WeylElem, v: WeylElem):
 def compose(u: WeylElem, v: WeylElem) -> WeylElem:
     """(u*v)(i) = u(v(i)); the right factor acts first."""
     _check_ranks(u, v)
-    return WeylElem(kernels.compose(u.window, v.window))
+    return WeylElem._trusted(kernels.compose(u.window, v.window))
 
 
 def inverse(w: WeylElem) -> WeylElem:
@@ -457,8 +474,27 @@ def act(w: WeylElem, lam: AnyCharacter) -> AnyCharacter:
 
 
 def reflection(alpha: Root, n: int) -> WeylElem:
-    """The reflection window s_alpha."""
+    """The reflection s_alpha."""
+    return WeylElem._trusted(reflection_window(alpha, n))
+
+
+def reflection_window(alpha: Root, n: int) -> tuple[int, ...]:
+    """The raw window of s_alpha, from the per-rank table."""
     alpha.check_rank(n)
+    return reflection_windows(n)[alpha]
+
+
+@functools.lru_cache(maxsize=32)
+def reflection_windows(n: int) -> Mapping[Root, tuple[int, ...]]:
+    """Every positive root of rank n mapped to the raw window of its
+    reflection, in the order of `positive_roots`.  Built once per rank, on
+    first use; read-only, since every caller shares it."""
+    return MappingProxyType(
+        {alpha: _build_reflection_window(alpha, n) for alpha in positive_roots(n)}
+    )
+
+
+def _build_reflection_window(alpha: Root, n: int) -> tuple[int, ...]:
     m = 2 * n
     w = list(range(1, m + 1))
 
@@ -474,7 +510,7 @@ def reflection(alpha: Root, n: int) -> WeylElem:
         swap(j, m + 1 - i)
     else:
         swap(i, m + 1 - i)
-    return WeylElem(tuple(w))
+    return tuple(w)
 
 
 def root_image(w: WeylElem, alpha: Root) -> tuple[Root, int]:
@@ -511,12 +547,18 @@ def inversion_count(w: WeylElem) -> int:
 
 def weyl_elements(n: int) -> Iterator[WeylElem]:
     """All 2^n * n! mirror windows, in a deterministic order."""
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
+    return _weyl_elements(n)
+
+
+def _weyl_elements(n: int) -> Iterator[WeylElem]:
     m = 2 * n
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((0, 1), repeat=n):
             first = tuple(p if s == 0 else m + 1 - p for p, s in zip(perm, signs))
             second = tuple(m + 1 - x for x in reversed(first))
-            yield WeylElem(first + second)
+            yield WeylElem._trusted(first + second)
 
 
 def weyl_order(n: int) -> int:
@@ -528,19 +570,23 @@ def weyl_order(n: int) -> int:
 
 def levi_elements(n: int) -> list[WeylElem]:
     """The n! windows stabilizing {1..n} (the Levi Weyl group)."""
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
     m = 2 * n
     out = []
     for perm in itertools.permutations(range(1, n + 1)):
         second = tuple(m + 1 - x for x in reversed(perm))
-        out.append(WeylElem(perm + second))
+        out.append(WeylElem._trusted(perm + second))
     return out
 
 
 def random_element(n: int, rng) -> WeylElem:
     """A uniformly random mirror window from an externally seeded RNG."""
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
     m = 2 * n
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     first = tuple(p if rng.random() < 0.5 else m + 1 - p for p in perm)
     second = tuple(m + 1 - x for x in reversed(first))
-    return WeylElem(first + second)
+    return WeylElem._trusted(first + second)

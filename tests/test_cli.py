@@ -197,3 +197,65 @@ def test_farkas_blowup_exits_2_with_message(capsys, monkeypatch):
     assert err.startswith("error: Fourier-Motzkin blow-up eliminating variable ")
     assert "of 6: " in err and "exceed the limit of 10" in err
     assert "Traceback" not in err
+
+
+def assert_refused(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_refuses_rank_below_one(capsys):
+    for suite, ranks, bad in (("gamma", "0", "0"), ("bruhat", "2,-1", "-1")):
+        assert_refused(
+            capsys,
+            ["sweep", "--suite", suite, "--n", ranks],
+            f"--n must be at least 1, got {bad}",
+        )
+
+
+def test_sweep_refuses_empty_rank_list(capsys):
+    assert_refused(
+        capsys, ["sweep", "--suite", "gamma", "--n", ","], "--n needs at least one rank"
+    )
+
+
+def test_sweep_refuses_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        assert_refused(
+            capsys,
+            ["sweep", "--suite", "gamma", "--n", "2", "--jobs", jobs],
+            f"--jobs must be at least 1, got {jobs}",
+        )
+
+
+def test_sweep_refuses_negative_samples(capsys):
+    assert_refused(
+        capsys,
+        ["sweep", "--suite", "bruhat", "--n", "2", "--samples", "-1"],
+        "--samples must be at least 0, got -1",
+    )
+    assert_refused(
+        capsys,
+        ["sweep", "--suite", "lmin-oracle", "--n", "2", "--p", "3", "--samples", "-1"],
+        "--samples must be at least 0, got -1",
+    )
+
+
+def test_sweep_refuses_redundancy_below_rank_two(capsys):
+    assert_refused(
+        capsys,
+        ["sweep", "--suite", "redundancy", "--n", "1", "--p", "3"],
+        "--suite redundancy needs --n at least 2",
+    )
+
+
+def test_sweep_with_zero_total_is_not_ok():
+    from zipcone.sweeps import SweepResult
+
+    empty = SweepResult("bruhat", {"n": 2}, total=0, passed=0, failures=(), lines=())
+    assert not empty.ok
+    assert empty.to_json_dict()["ok"] is False
+    assert SweepResult("bruhat", {"n": 2}, 3, 3, (), ()).ok

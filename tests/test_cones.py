@@ -16,7 +16,6 @@ from zipcone.cones import (
     pha_w_member,
     pha_wmax_cone,
     prefix_functional,
-    saturation_member,
 )
 from zipcone.hasse import hasse_map
 from zipcone.sweeps import random_dominant_character, random_rat_character
@@ -91,14 +90,15 @@ def test_pha_wmax_cone():
 
 
 def test_saturation_member():
+    # Cone.member is membership in the saturation
     cone = pha_wmax_cone(2)
     inside = Character((-3, -1), 0)
-    assert cone.member(inside) and saturation_member(inside, cone)
+    assert cone.member(inside)
     # parity-violating but inequality-satisfying: saturation says yes
     odd = Character((-1, 0), 0)
     assert not odd.satisfies_parity
-    assert saturation_member(odd, cone)
-    assert not saturation_member(Character.unit(2, 1), cone)
+    assert cone.member(odd)
+    assert not cone.member(Character.unit(2, 1))
 
 
 def test_farkas_trivial_example():

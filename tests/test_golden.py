@@ -1,9 +1,14 @@
-"""Byte-identity of the certificate JSON: identical flags give identical bytes.
+"""Byte-identity of the JSON output: identical flags give identical bytes.
 
 The digests are sha256 of the stdout of `zipcone verify-theorem --n N --p P
 --json`.  They were computed before the certificate multipliers became
 closed form, when every implication came from Fourier-Motzkin search, and
 are the same under different PYTHONHASHSEED values.
+
+The digests of the sweep, path and neighbors verbs were computed while every
+window product was still fully re-validated and the neighbor oracle worked
+on validated objects; they too are the same under different PYTHONHASHSEED
+values.
 """
 
 import hashlib
@@ -36,3 +41,24 @@ def test_verify_theorem_json_is_byte_identical(capsys, n, p):
     assert run(["verify-theorem", "--n", str(n), "--p", str(p), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[(n, p)]
+
+
+VERB_DIGESTS = {
+    ("sweep", "--suite", "gamma", "--n", "4", "--json"):
+        "74dfa5dcf23a569525f7eda43e9cd9927c41ff8db260c87410da8fdd6c77b8fa",
+    ("sweep", "--suite", "bruhat", "--n", "3", "--json"):
+        "de668deecc1455cf447c5d1905969581a7f3def26ffb2f01a8398715a37ef314",
+    ("sweep", "--suite", "bruhat", "--n", "5", "--samples", "2000", "--seed", "11", "--json"):
+        "c0de9ba955b2356020ce4444ea49380eb07aa92f37d710804fb51f2d99ae05b4",
+    ("path", "--n", "8", "--p", "5", "--json"):
+        "e59a2b3fdf1dd4ed255c0c39eaa4be984d844898b4cdee10f8238f98e0a73cbe",
+    ("neighbors", "--elem", "4 6 5 2 1 3", "--json"):
+        "72162610a947703a70dcc878bc6b76d5686a96cebec75692022a5e3d38b909ad",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERB_DIGESTS), ids=" ".join)
+def test_verb_json_is_byte_identical(capsys, argv):
+    assert run(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERB_DIGESTS[argv]
