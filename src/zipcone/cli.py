@@ -29,6 +29,7 @@ from .certify import envelope_certificate
 from .cones import (
     cone_GS,
     farkas_implies,
+    frac_str,
     lmin_member,
     lmin_prefix_cone,
     pha_w_member,
@@ -279,10 +280,10 @@ def _cmd_farkas(args) -> int:
     cert = farkas_implies(target.vector(), cone)
     payload = {"cone": args.cone, **cert.to_json_dict()}
     if cert.implied:
-        mults = ", ".join(f"{m.numerator}/{m.denominator}" for m in cert.multipliers)
+        mults = ", ".join(frac_str(m) for m in cert.multipliers)
         lines = ["implied: true", f"multipliers: {mults}"]
     else:
-        wit = ", ".join(f"{x.numerator}/{x.denominator}" for x in cert.witness)
+        wit = ", ".join(frac_str(x) for x in cert.witness)
         lines = ["implied: false", f"witness: {wit}"]
     _emit(payload, args.json, lines)
     return 0 if cert.implied else 1

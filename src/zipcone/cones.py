@@ -37,10 +37,6 @@ def _as_vector(x) -> tuple:
     return tuple(x)
 
 
-def functional_row(coeffs: Sequence[int], b_coeff: int = 0) -> IntRow:
-    return tuple(int(c) for c in coeffs) + (int(b_coeff),)
-
-
 def coroot_functional(alpha: Root, n: int, scale: int = 1) -> IntRow:
     """The pairing functional of alpha, scaled, as a row on (a_1..a_n, b)."""
     return tuple(scale * c for c in alpha.coroot_row(n)) + (0,)

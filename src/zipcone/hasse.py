@@ -16,7 +16,7 @@ list omits long roots that demonstrably occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -305,27 +305,7 @@ class StepReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "i": self.i,
-            "window": self.window,
-            "computed_eset": list(self.computed_eset),
-            "reference_eset": list(self.reference_eset),
-            "verified_eset": list(self.verified_eset),
-            "matches_reference": self.matches_reference,
-            "matches_verified": self.matches_verified,
-            "extra_vs_reference": list(self.extra_vs_reference),
-            "oracle_agrees": self.oracle_agrees,
-            "separating": self.separating,
-            "chi_orthogonal": self.chi_orthogonal,
-            "pipeline_weight": self.pipeline_weight,
-            "closed_form_weight": self.closed_form_weight,
-            "first_term_relation": self.first_term_relation,
-            "second_term_agrees": self.second_term_agrees,
-            "pipeline_in_lmin": self.pipeline_in_lmin,
-            "closed_form_in_lmin": self.closed_form_in_lmin,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Backend selection for the window kernels.
 
 The compiled module is preferred when importable; set ZIPCONE_PURE=1 to
-force the pure-Python fallback (used by the benchmark and backend-parity
-tests).
+force the pure-Python fallback.  The backend-parity tests import
+`_kernels_py` directly and do not need it.
 """
 
 from __future__ import annotations

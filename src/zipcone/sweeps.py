@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import kernels, linalg
@@ -19,6 +19,7 @@ from .bruhat import lower_neighbors, lower_neighbors_oracle
 from .cones import (
     dominance_functionals,
     farkas_implies,
+    frac_str,
     lmin_member,
     lmin_member_enumerated,
     prefix_functional,
@@ -43,15 +44,7 @@ class SweepResult:
         return self.total > 0 and self.passed == self.total
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": dict(self.params),
-            "total": self.total,
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "lines": list(self.lines),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _chunks(items, jobs):
@@ -211,7 +204,7 @@ def redundancy_suite(n: int, p: int, samples: int, seed: int) -> SweepResult:
     system = [prefix_functional(n, p, j) for j in range(1, n)] + dominance_functionals(n)
     cert = farkas_implies(prefix_functional(n, p, n), system)
     if cert.implied:
-        mults = ", ".join(f"{m.numerator}/{m.denominator}" for m in cert.multipliers)
+        mults = ", ".join(frac_str(m) for m in cert.multipliers)
         lines.append(f"j=n prefix functional certified redundant (p={p}; multipliers {mults})")
         passed = 1
     else:

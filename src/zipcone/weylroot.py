@@ -62,9 +62,6 @@ class Character:
             raise ValueError(f"character {text!r} has non-integer entries")
         return cls(tuple(int(x) for x in a), int(b))
 
-    def to_rational(self) -> "RatCharacter":
-        return RatCharacter(tuple(Fraction(x) for x in self.a), Fraction(self.b))
-
     def vector(self) -> tuple[int, ...]:
         return self.a + (self.b,)
 
