@@ -1,9 +1,9 @@
 """Bruhat order, lower neighbors and minimal coset representatives.
 
 Lower neighbors are computed two ways: combinatorially from admissible
-pairs of the window, and by the brute-force definition (length drop plus
-rank-matrix comparison).  The two must agree; the sweeps and the
-acceptance suite check this exhaustively.
+pairs of the window, and by the brute-force definition (a length drop of
+one under a positive reflection).  The two must agree; the sweeps and
+the acceptance suite check this exhaustively.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .weylroot import (
     levi_simple_roots,
     non_levi_positive_roots,
     reflection,
-    reflection_windows,
+    reflection_swaps,
 )
 
 
@@ -106,20 +106,22 @@ def lower_neighbors(w: WeylElem) -> NeighborSet:
 
 
 def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:
-    """E_w by brute force: test every positive root for a length-1 Bruhat drop.
+    """E_w by brute force: test every positive root for a length drop of one.
 
+    Bruhat order is graded by length and w * s_alpha is comparable with w,
+    so w * s_alpha is covered by w exactly when l(w * s_alpha) = l(w) - 1.
     Still brute force over all n^2 positive roots, with no shortcut from the
     admissible-pair theory, so it stays independent of `lower_neighbors`.
-    It works on raw windows: w * s_alpha is composed with the per-rank
-    reflection window and checked by the length and rank-matrix kernels.
+    It works on the raw window: each length change is counted in O(n) from
+    the positions the reflection swaps, without building w * s_alpha.
     """
     win = w.window
-    lw = kernels.length(win)
-    roots = []
-    for alpha, s in reflection_windows(w.n).items():
-        ws = kernels.compose(win, s)
-        if kernels.length(ws) == lw - 1 and kernels.bruhat_leq(ws, win):
-            roots.append(alpha)
+    length_change = kernels.length_change
+    roots = [
+        alpha
+        for alpha, swaps in reflection_swaps(w.n).items()
+        if length_change(win, swaps) == -1
+    ]
     return NeighborSet(w, frozenset(roots))
 
 

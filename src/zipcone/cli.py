@@ -27,6 +27,7 @@ from .bruhat import (
 )
 from .certify import envelope_certificate
 from .cones import (
+    MAX_ENUMERATED_RANK,
     cone_GS,
     farkas_implies,
     frac_str,
@@ -43,6 +44,15 @@ from .weylroot import (
     act,
     canonical_elements,
 )
+
+
+# Largest inputs the CLI accepts, so that every accepted input finishes;
+# beyond each rank limit the work at least doubles with every rank.
+MAX_GAMMA_RANK = 6  # gamma visits all 2^n n! elements
+MAX_BRUHAT_RANK = 5  # bruhat builds the cover closure of all elements
+MAX_BRUHAT_EXHAUSTIVE_RANK = 4  # without --samples it checks all pairs
+MAX_ENUM_IW_RANK = 16  # enum-iw lists 2^n representatives
+MAX_SAMPLES = 100_000
 
 
 class UsageError(Exception):
@@ -308,6 +318,8 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_enum_iw(args) -> int:
+    if args.n > MAX_ENUM_IW_RANK:
+        raise UsageError(f"--n must be at most {MAX_ENUM_IW_RANK}, got {args.n}")
     reps = enum_IW(args.n)
     wmax = canonical_elements(args.n).wmax
     payload = {
@@ -348,9 +360,17 @@ def _cmd_bruhat(args) -> int:
 def _check_sweep_args(args, ranks: list[int]) -> None:
     if not ranks:
         raise UsageError("--n needs at least one rank")
+    limit = {"gamma": MAX_GAMMA_RANK, "bruhat": MAX_BRUHAT_RANK}.get(
+        args.suite, MAX_ENUMERATED_RANK
+    )
+    scope = f"--suite {args.suite}"
+    if args.suite == "bruhat" and not args.samples:
+        limit, scope = MAX_BRUHAT_EXHAUSTIVE_RANK, scope + " without --samples"
     for n in ranks:
         if n < 1:
             raise UsageError(f"--n must be at least 1, got {n}")
+        if n > limit:
+            raise UsageError(f"--n must be at most {limit} for {scope}, got {n}")
         if args.suite == "redundancy" and n < 2:
             raise UsageError(
                 f"--suite redundancy needs --n at least 2 (its claim is about rank >= 2), got {n}"
@@ -359,6 +379,8 @@ def _check_sweep_args(args, ranks: list[int]) -> None:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.samples < 0:
         raise UsageError(f"--samples must be at least 0, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
 
 
 def _cmd_sweep(args) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import kernels, linalg
 from .bruhat import is_separating, lower_neighbors, lower_neighbors_oracle
 from .cones import lmin_member
 from .weylroot import (
@@ -33,6 +33,7 @@ from .weylroot import (
     compose,
     pairing,
     reflection,
+    reflection_swaps,
 )
 
 
@@ -190,10 +191,9 @@ def descent_path(n: int, p: int) -> list[PathStep]:
             chi = Character.unit(n, i + 1)
             ha = (-1 * act(w, chi)) + p * act(wmax, chi)
             steps.append(PathStep(d, i, w, beta, chi, ha))
-            nxt = compose(w, reflection(beta, n))
-            if nxt.length() != w.length() - 1:
+            if kernels.length_change(w.window, reflection_swaps(n)[beta]) != -1:
                 raise AssertionError(f"length must drop by one at ({d}, {i})")
-            w = nxt
+            w = compose(w, reflection(beta, n))
     if w != wmax:
         raise AssertionError("path must end at the top minimal representative")
     return steps

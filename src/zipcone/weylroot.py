@@ -487,26 +487,38 @@ def reflection_windows(n: int) -> Mapping[Root, tuple[int, ...]]:
     reflection, in the order of `positive_roots`.  Built once per rank, on
     first use; read-only, since every caller shares it."""
     return MappingProxyType(
-        {alpha: _build_reflection_window(alpha, n) for alpha in positive_roots(n)}
+        {
+            alpha: _build_reflection_window(swaps, n)
+            for alpha, swaps in reflection_swaps(n).items()
+        }
     )
 
 
-def _build_reflection_window(alpha: Root, n: int) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=32)
+def reflection_swaps(n: int) -> Mapping[Root, tuple[tuple[int, int], ...]]:
+    """Every positive root of rank n mapped to the 1-based position pairs
+    (a, b), a < b, that its reflection swaps on a window, in the order of
+    `positive_roots`: e_i - e_j swaps (i, j) and (2n+1-j, 2n+1-i), e_i + e_j
+    swaps (i, 2n+1-j) and (j, 2n+1-i), 2e_i swaps (i, 2n+1-i).  Right
+    multiplication by the reflection applies these swaps in turn.  Built
+    once per rank, on first use; read-only, since every caller shares it."""
     m = 2 * n
-    w = list(range(1, m + 1))
+    table = {}
+    for alpha in positive_roots(n):
+        i, j = alpha.i, alpha.j
+        if alpha.kind is RootKind.DIFF:
+            table[alpha] = ((i, j), (m + 1 - j, m + 1 - i))
+        elif alpha.kind is RootKind.SUM:
+            table[alpha] = ((i, m + 1 - j), (j, m + 1 - i))
+        else:
+            table[alpha] = ((i, m + 1 - i),)
+    return MappingProxyType(table)
 
-    def swap(i, j):
-        w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
 
-    i, j = alpha.i, alpha.j
-    if alpha.kind is RootKind.DIFF:
-        swap(i, j)
-        swap(m + 1 - i, m + 1 - j)
-    elif alpha.kind is RootKind.SUM:
-        swap(i, m + 1 - j)
-        swap(j, m + 1 - i)
-    else:
-        swap(i, m + 1 - i)
+def _build_reflection_window(swaps, n: int) -> tuple[int, ...]:
+    w = list(range(1, 2 * n + 1))
+    for a, b in swaps:
+        w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
     return tuple(w)
 
 

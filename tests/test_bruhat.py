@@ -20,6 +20,7 @@ from zipcone.weylroot import (
     canonical_elements,
     compose,
     levi_elements,
+    positive_roots,
     reflection,
     weyl_elements,
 )
@@ -56,17 +57,39 @@ def test_bruhat_examples():
         bruhat_leq(WeylElem.identity(2), WeylElem.identity(3))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_bruhat_partial_order_axioms(n):
     elems = list(weyl_elements(n))
+    leq = [[bruhat_leq(u, w) for w in elems] for u in elems]
     ident = WeylElem.identity(n)
     for w in elems:
         assert bruhat_leq(ident, w)
-        assert bruhat_leq(w, w)
-    for w1 in elems:
-        for w2 in elems:
-            if w1 != w2:
-                assert not (bruhat_leq(w1, w2) and bruhat_leq(w2, w1))
+    for a in range(len(elems)):
+        assert leq[a][a]
+        for b in range(len(elems)):
+            if a != b:
+                assert not (leq[a][b] and leq[b][a])
+            if leq[a][b]:
+                assert all(leq[a][c] for c in range(len(elems)) if leq[b][c])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bruhat_order_agrees_with_length(n):
+    elems = list(weyl_elements(n))
+    for u in elems:
+        for w in elems:
+            if bruhat_leq(u, w):
+                assert u.length() < w.length() or u == w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reflection_goes_down_exactly_when_length_drops(n):
+    # the neighbor oracle tests covers by length alone; this is what allows it
+    roots = positive_roots(n)
+    for w in weyl_elements(n):
+        for alpha in roots:
+            ws = compose(w, reflection(alpha, n))
+            assert bruhat_leq(ws, w) == (ws.length() < w.length())
 
 
 def test_admissible_pairs_identity_empty():

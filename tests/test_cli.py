@@ -259,3 +259,79 @@ def test_sweep_with_zero_total_is_not_ok():
     assert not empty.ok
     assert empty.to_json_dict()["ok"] is False
     assert SweepResult("bruhat", {"n": 2}, 3, 3, (), ()).ok
+
+
+def test_sweep_refuses_gamma_above_rank_limit(capsys):
+    from zipcone.cli import MAX_GAMMA_RANK
+
+    assert_refused(
+        capsys,
+        ["sweep", "--suite", "gamma", "--n", f"2,{MAX_GAMMA_RANK + 2}"],
+        f"--n must be at most {MAX_GAMMA_RANK} for --suite gamma, got {MAX_GAMMA_RANK + 2}",
+    )
+
+
+def test_sweep_refuses_sampled_bruhat_above_rank_limit(capsys):
+    from zipcone.cli import MAX_BRUHAT_RANK
+
+    bad = MAX_BRUHAT_RANK + 1
+    assert_refused(
+        capsys,
+        ["sweep", "--suite", "bruhat", "--n", str(bad), "--samples", "1000"],
+        f"--n must be at most {MAX_BRUHAT_RANK} for --suite bruhat, got {bad}",
+    )
+
+
+def test_sweep_refuses_exhaustive_bruhat_above_rank_limit(capsys):
+    from zipcone.cli import MAX_BRUHAT_EXHAUSTIVE_RANK
+
+    bad = MAX_BRUHAT_EXHAUSTIVE_RANK + 1
+    assert_refused(
+        capsys,
+        ["sweep", "--suite", "bruhat", "--n", str(bad)],
+        f"--n must be at most {MAX_BRUHAT_EXHAUSTIVE_RANK} for --suite bruhat "
+        f"without --samples, got {bad}",
+    )
+
+
+def test_sweep_refuses_subset_enumeration_above_rank_limit(capsys):
+    from zipcone.cones import MAX_ENUMERATED_RANK
+
+    for suite in ("lmin-oracle", "redundancy"):
+        assert_refused(
+            capsys,
+            ["sweep", "--suite", suite, "--n", "8", "--p", "3"],
+            f"--n must be at most {MAX_ENUMERATED_RANK} for --suite {suite}, got 8",
+        )
+
+
+def test_enum_iw_refuses_rank_above_limit(capsys):
+    from zipcone.cli import MAX_ENUM_IW_RANK
+
+    assert_refused(
+        capsys, ["enum-iw", "--n", "40"], f"--n must be at most {MAX_ENUM_IW_RANK}, got 40"
+    )
+
+
+def test_sweep_refuses_samples_above_limit(capsys):
+    from zipcone.cli import MAX_SAMPLES
+
+    assert_refused(
+        capsys,
+        ["sweep", "--suite", "bruhat", "--n", "3", "--samples", str(MAX_SAMPLES + 1)],
+        f"--samples must be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}",
+    )
+
+
+def test_limits_accept_benchmark_and_readme_inputs():
+    from zipcone.cli import _build_parser, _check_sweep_args, _int_list
+
+    for argv in (
+        ["sweep", "--suite", "gamma", "--n", "5", "--jobs", "1", "--json"],
+        ["sweep", "--suite", "bruhat", "--n", "5", "--samples", "20000", "--seed", "3"],
+        ["sweep", "--suite", "gamma", "--n", "4", "--jobs", "4"],
+        ["sweep", "--suite", "lmin-oracle", "--n", "4", "--p", "3", "--samples", "1000"],
+        ["sweep", "--suite", "redundancy", "--n", "3", "--p", "2,3,5", "--samples", "200"],
+    ):
+        args = _build_parser().parse_args(argv)
+        _check_sweep_args(args, _int_list(args.n))

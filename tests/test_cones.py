@@ -64,6 +64,14 @@ def test_lmin_shortcut_matches_enumeration(n, p):
         assert lmin_member(lam, p) == lmin_member_enumerated(lam, p)
 
 
+def test_lmin_enumeration_refuses_rank_above_limit():
+    from zipcone.cones import MAX_ENUMERATED_RANK
+
+    n = MAX_ENUMERATED_RANK + 1
+    with pytest.raises(ValueError, match=f"limited to rank {MAX_ENUMERATED_RANK}, got {n}"):
+        lmin_member_enumerated(Character.zero(n), 3)
+
+
 def test_lmin_prefix_cone_examples():
     cone = lmin_prefix_cone(3, 5)
     assert cone.member(Character((1, 1, -25), 1))

@@ -1,68 +1,73 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zipcone import _kernels_py
 from zipcone import kernels
-
-try:
-    from zipcone import _ckernels
-except ImportError:
-    _ckernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _ckernels is None, reason="compiled kernels not built"
+from zipcone.sweeps import gamma_suite, lmin_oracle_suite
+from zipcone.weylroot import (
+    positive_roots,
+    random_element,
+    reflection_swaps,
+    reflection_windows,
+    weyl_elements,
 )
 
 
-def random_window(n, rng):
-    m = 2 * n
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    first = tuple(x if rng.random() < 0.5 else m + 1 - x for x in perm)
-    return first + tuple(m + 1 - x for x in reversed(first))
-
-
 def test_selected_backend_exposed():
-    assert kernels.BACKEND in ("c", "python")
-
-
-@needs_compiled
-def test_backend_parity():
-    rng = random.Random(123)
-    for n in (1, 2, 3, 5, 8):
-        for _ in range(60):
-            u = random_window(n, rng)
-            v = random_window(n, rng)
-            assert _ckernels.compose(u, v) == _kernels_py.compose(u, v)
-            assert _ckernels.invert(u) == _kernels_py.invert(u)
-            assert _ckernels.length(u) == _kernels_py.length(u)
-            assert _ckernels.mirror_defect(u) == _kernels_py.mirror_defect(u)
-            assert _ckernels.bruhat_leq(u, v) == _kernels_py.bruhat_leq(u, v)
-            assert _ckernels.admissible_pairs(u) == _kernels_py.admissible_pairs(u)
-            i = rng.randint(1, 2 * n)
-            j = rng.randint(1, 2 * n)
-            assert _ckernels.rank_entry(u, i, j) == _kernels_py.rank_entry(u, i, j)
-
-
-@needs_compiled
-def test_backend_parity_on_defective_windows():
-    # mirror_defect must flag the same index on non-mirror permutations
-    bad = (1, 3, 4, 2)
-    assert _ckernels.mirror_defect(bad) == _kernels_py.mirror_defect(bad) == 1
+    assert kernels.BACKEND == "python"
 
 
 def test_pure_python_basics():
-    assert _kernels_py.compose((4, 3, 2, 1), (2, 1, 4, 3)) == (3, 4, 1, 2)
-    assert _kernels_py.invert((3, 1, 4, 2)) == (2, 4, 1, 3)
-    assert _kernels_py.length((4, 3, 2, 1)) == 4
-    assert _kernels_py.mirror_defect((1, 2, 3, 4)) == 0
-    assert _kernels_py.admissible_pairs((4, 3, 2, 1)) == ((1, 2), (2, 3), (3, 4))
+    assert kernels.compose((4, 3, 2, 1), (2, 1, 4, 3)) == (3, 4, 1, 2)
+    assert type(kernels.compose((2, 1), (2, 1))) is tuple
+    assert kernels.invert((3, 1, 4, 2)) == (2, 4, 1, 3)
+    assert kernels.length((4, 3, 2, 1)) == 4
+    assert kernels.mirror_defect((1, 2, 3, 4)) == 0
+    assert kernels.mirror_defect((1, 3, 4, 2)) == 1
+    assert kernels.admissible_pairs((4, 3, 2, 1)) == ((1, 2), (2, 3), (3, 4))
+    assert kernels.length_change((4, 3, 2, 1), ((2, 3),)) == -1
+    assert kernels.length_change((1, 2, 3, 4), ((1, 2), (3, 4))) == 1
+
+
+def assert_length_change_matches(win, n):
+    lw = kernels.length(win)
+    windows = reflection_windows(n)
+    for alpha, swaps in reflection_swaps(n).items():
+        ws = kernels.compose(win, windows[alpha])
+        assert kernels.length_change(win, swaps) == kernels.length(ws) - lw, (win, alpha)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_length_change_matches_length_exhaustive(n):
+    for w in weyl_elements(n):
+        assert_length_change_matches(w.window, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_length_change_matches_length_sampled(n, seed):
+    assert_length_change_matches(random_element(n, random.Random(seed)).window, n)
+
+
+def test_reflection_swaps_table():
+    table = reflection_swaps(3)
+    assert list(table) == positive_roots(3)
+    assert reflection_swaps(3) is table
+    with pytest.raises(TypeError):
+        table[positive_roots(3)[0]] = ((1, 2),)
+    for swaps in table.values():
+        assert 1 <= len(swaps) <= 2
+        assert all(1 <= a < b <= 6 for a, b in swaps)
+
+
+def test_oracle_matches_lower_neighbors_rank5():
+    result = gamma_suite(5)
+    assert result.ok and result.total == 3840
 
 
 def test_parallel_sweeps_match_serial():
-    from zipcone.sweeps import gamma_suite, lmin_oracle_suite
-
     assert gamma_suite(3, jobs=2).to_json_dict() == gamma_suite(3, jobs=1).to_json_dict()
     serial = lmin_oracle_suite(3, 3, 60, seed=5, jobs=1)
     parallel = lmin_oracle_suite(3, 3, 60, seed=5, jobs=2)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipcone.weylroot import (
     Character,
@@ -17,6 +19,7 @@ from zipcone.weylroot import (
     non_levi_positive_roots,
     pairing,
     positive_roots,
+    random_element,
     reflection,
     root_image,
     simple_roots,
@@ -164,16 +167,15 @@ def test_act_examples():
     assert act(ce.wmax, Character.unit(2, 1)) == Character((0, -1), 0)
 
 
-def test_act_is_group_action():
-    rng = random.Random(3)
-    from zipcone.weylroot import random_element
-
-    for n in (2, 3, 5):
-        for _ in range(30):
-            u = random_element(n, rng)
-            v = random_element(n, rng)
-            lam = Character(tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-3, 3))
-            assert act(u, act(v, lam)) == act(compose(u, v), lam)
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_act_is_group_action(n, seed):
+    rng = random.Random(seed)
+    u = random_element(n, rng)
+    v = random_element(n, rng)
+    lam = Character(tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-3, 3))
+    assert act(WeylElem.identity(n), lam) == lam
+    assert act(u, act(v, lam)) == act(compose(u, v), lam)
 
 
 def test_act_pairing_invariance():
