@@ -24,10 +24,10 @@ from typing import Optional
 from . import linalg
 # farkas_implies is unused here but stays importable as certify.farkas_implies:
 # perfbench/selftest.py checks that its tracer rebinds this copy.
-from .cones import (  # noqa: F401
+from .cones import farkas_implies  # noqa: F401
+from .cones import (
     FarkasCertificate,
     IntRow,
-    farkas_implies,
     orbit_subset_functional,
     pha_wmax_cone,
     prefix_functional,
@@ -192,7 +192,7 @@ def envelope_certificate(n: int, p: int) -> Certificate:
         for orbit_name, orbit in orbits:
             if not orbit:
                 continue
-            subset = worst_subset(orbit, gen, n)
+            subset = worst_subset(orbit, gen)
             row = orbit_subset_functional(orbit, subset, n, p)
             value = Fraction(linalg.dot(row, vec))
             checks.append(

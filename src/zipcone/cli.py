@@ -137,6 +137,11 @@ def _parse_char(text: str):
     return lam
 
 
+def _check_rank_flag(n: int | None, char, flag: str) -> None:
+    if n is not None and n != char.n:
+        raise UsageError(f"--n is {n} but {flag} has rank {char.n}")
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
@@ -231,6 +236,7 @@ def _cmd_path(args) -> int:
 
 def _cmd_cone_check(args) -> int:
     lam = _parse_char(args.lam)
+    _check_rank_flag(args.n, lam, "--lambda")
     n = lam.n
     if args.p is not None and args.p < 2:
         raise UsageError("p must be at least 2")
@@ -270,6 +276,7 @@ def _cmd_farkas(args) -> int:
     target = _parse_char(args.target)
     if isinstance(target, RatCharacter):
         raise UsageError("target functional must have integer coefficients")
+    _check_rank_flag(args.n, target, "--target")
     n = target.n
     if args.cone == "gs":
         cone = cone_GS(n)
@@ -305,8 +312,12 @@ def _cmd_verify_theorem(args) -> int:
     if args.path_report:
         payload["path_report"] = verify_path_lemmas(args.n, args.p).to_json_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     ok_checks = sum(1 for c in cert.checks if c.ok)
     lines = [
         f"envelope generators: {len(cert.base_generators)} base + {len(cert.ha_weights)} path weights",

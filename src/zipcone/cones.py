@@ -19,7 +19,6 @@ from .weylroot import (
     Character,
     RatCharacter,
     Root,
-    RootKind,
     WeylElem,
     levi_simple_roots,
     long_orbit,
@@ -125,15 +124,15 @@ def orbit_subset_functional(orbit: Sequence[Root], subset: Iterable[Root], n: in
     """Coefficient p on roots outside the subset, 1 on roots inside (the 1/p
     inequality multiplied through by p)."""
     inside = set(subset)
-    row = [0] * (n + 1)
+    row = [0] * n
     for alpha in orbit:
         scale = 1 if alpha in inside else p
-        for k, c in enumerate(alpha.coroot_row(n)):
+        for k, c in alpha.coroot:
             row[k] += scale * c
-    return tuple(row)
+    return tuple(row) + (0,)
 
 
-def worst_subset(orbit: Sequence[Root], lam, n: int) -> list[Root]:
+def worst_subset(orbit: Sequence[Root], lam) -> list[Root]:
     """The subset maximizing the mixed sum: exactly the roots pairing
     negatively with lam (coefficient 1 beats 1/p exactly on positives)."""
     return [alpha for alpha in orbit if pairing(lam, alpha) < 0]
@@ -145,14 +144,18 @@ def lmin_member(lam: AnyCharacter, p: int) -> bool:
 
     The reduction is one line: each root contributes with coefficient 1 or
     1/p independently, and the larger contribution is 1 on positives and
-    1/p on negatives.  lmin_member_enumerated is the 2^|orbit| oracle.
+    1/p on negatives.  So, cleared by p, each orbit's worst value is the sum
+    of t over negative pairings t and of p * t over the rest.
+    lmin_member_enumerated is the 2^|orbit| oracle.
     """
     _check_p(p)
     n = lam.n
-    v = _as_vector(lam)
     for orbit in (long_orbit(n), sum_orbit(n)):
-        row = orbit_subset_functional(orbit, worst_subset(orbit, lam, n), n, p)
-        if linalg.dot(row, v) > 0:
+        worst = 0
+        for alpha in orbit:
+            t = pairing(lam, alpha)
+            worst += t if t < 0 else p * t
+        if worst > 0:
             return False
     return True
 
@@ -185,21 +188,20 @@ _ONE = Fraction(1)
 
 def coroot_form_multipliers(alpha: Root, n: int) -> tuple[Fraction, ...]:
     """Multipliers writing the coroot functional of a root outside the Levi
-    over the rows {a_i <= 0} of pha_wmax_cone: the coroot row of e_i+e_j is
-    row i plus row j, and the coroot row of 2e_i is row i."""
+    over the rows {a_i <= 0} of pha_wmax_cone: the coroot coefficients
+    themselves (row i plus row j for e_i+e_j, row i for 2e_i)."""
     mults = [_ZERO] * n
-    mults[alpha.i - 1] = _ONE
-    if alpha.kind is RootKind.SUM:
-        mults[alpha.j - 1] = _ONE
+    for k, c in alpha.coroot:
+        mults[k] = Fraction(c)
     return tuple(mults)
 
 
 def coordinate_form_multipliers(i: int, roots: Sequence[Root]) -> tuple[Fraction, ...]:
     """Multipliers writing a_i <= 0 over the coroot rows of `roots`: the
-    coroot row of 2e_i with multiplier 1, every other multiplier 0."""
-    return tuple(
-        _ONE if alpha.kind is RootKind.LONG and alpha.i == i else _ZERO for alpha in roots
-    )
+    coroot row of 2e_i (the root whose coroot is e_i) with multiplier 1,
+    every other multiplier 0."""
+    e_i = ((i - 1, 1),)
+    return tuple(_ONE if alpha.coroot == e_i else _ZERO for alpha in roots)
 
 
 def prefix_multipliers(n: int, p: int, j: int) -> tuple[Fraction, ...]:

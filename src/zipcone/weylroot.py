@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
@@ -159,15 +159,20 @@ def _check_char_ranks(x, y):
 # roots
 
 
-class RootKind(Enum):
-    DIFF = "diff"  # e_i - e_j
-    SUM = "sum"    # e_i + e_j
-    LONG = "long"  # 2 e_i
+class RootKind(IntEnum):
+    """Root families, numbered in the root order: differences, then sums,
+    then long roots."""
+
+    DIFF = 0  # e_i - e_j
+    SUM = 1   # e_i + e_j
+    LONG = 2  # 2 e_i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Root:
-    """A positive root of the rank-n system: e_i - e_j, e_i + e_j or 2 e_i."""
+    """A positive root of the rank-n system: e_i - e_j, e_i + e_j or 2 e_i.
+
+    Roots order by family (as numbered in RootKind), then i, then j."""
 
     kind: RootKind
     i: int
@@ -192,13 +197,13 @@ class Root:
     def long(i: int) -> "Root":
         return Root(RootKind.LONG, i)
 
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        order = {RootKind.DIFF: 0, RootKind.SUM: 1, RootKind.LONG: 2}
-        return (order[self.kind], self.i, self.j)
-
-    def __lt__(self, other: "Root") -> bool:
-        return self.sort_key < other.sort_key
+    @functools.cached_property
+    def coroot(self) -> tuple[tuple[int, int], ...]:
+        """The coroot as sparse (0-based index, coefficient) pairs on
+        (a_1..a_n): e_i - e_j, e_i + e_j and e_i for the three families."""
+        if self.kind is RootKind.LONG:
+            return ((self.i - 1, 1),)
+        return ((self.i - 1, 1), (self.j - 1, -1 if self.kind is RootKind.DIFF else 1))
 
     def check_rank(self, n: int) -> None:
         top = self.j if self.j else self.i
@@ -206,31 +211,22 @@ class Root:
             raise ValueError(f"root {self} does not fit rank {n}")
 
     def as_character(self, n: int) -> Character:
-        """The root written in the character coordinates (b = 0)."""
+        """The root written in the character coordinates (b = 0): the coroot
+        times 2 / <coroot, coroot>, and that norm is the number of pairs,
+        since every coroot coefficient is +-1."""
         self.check_rank(n)
         a = [0] * n
-        if self.kind is RootKind.DIFF:
-            a[self.i - 1] = 1
-            a[self.j - 1] = -1
-        elif self.kind is RootKind.SUM:
-            a[self.i - 1] = 1
-            a[self.j - 1] = 1
-        else:
-            a[self.i - 1] = 2
+        scale = 2 // len(self.coroot)
+        for k, c in self.coroot:
+            a[k] = scale * c
         return Character(tuple(a), 0)
 
     def coroot_row(self, n: int) -> tuple[int, ...]:
         """Coefficients of the pairing functional <., alpha^vee> on (a_1..a_n)."""
         self.check_rank(n)
         row = [0] * n
-        if self.kind is RootKind.DIFF:
-            row[self.i - 1] = 1
-            row[self.j - 1] = -1
-        elif self.kind is RootKind.SUM:
-            row[self.i - 1] = 1
-            row[self.j - 1] = 1
-        else:
-            row[self.i - 1] = 1
+        for k, c in self.coroot:
+            row[k] = c
         return tuple(row)
 
     def __str__(self) -> str:
@@ -261,10 +257,7 @@ def positive_roots(n: int) -> list[Root]:
     """All n^2 positive roots: differences, then sums, then long roots."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    roots = [Root.diff(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    roots += [Root.sum(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    roots += [Root.long(i) for i in range(1, n + 1)]
-    return roots
+    return levi_positive_roots(n) + non_levi_positive_roots(n)
 
 
 def levi_positive_roots(n: int) -> list[Root]:
@@ -274,9 +267,7 @@ def levi_positive_roots(n: int) -> list[Root]:
 
 def non_levi_positive_roots(n: int) -> list[Root]:
     """Sums and long roots; the two orbits under the Levi Weyl group."""
-    return [Root.sum(i, j) for i in range(1, n) for j in range(i + 1, n + 1)] + [
-        Root.long(i) for i in range(1, n + 1)
-    ]
+    return sum_orbit(n) + long_orbit(n)
 
 
 def long_orbit(n: int) -> list[Root]:
@@ -288,7 +279,7 @@ def sum_orbit(n: int) -> list[Root]:
 
 
 def simple_roots(n: int) -> list[Root]:
-    return [Root.diff(i, i + 1) for i in range(1, n)] + [Root.long(n)]
+    return levi_simple_roots(n) + [Root.long(n)]
 
 
 def levi_simple_roots(n: int) -> list[Root]:
@@ -300,6 +291,7 @@ def pairing(lam: AnyCharacter, alpha: Root):
     """<lam, alpha^vee>: a_i - a_j, a_i + a_j or a_i by root kind; b is inert."""
     alpha.check_rank(lam.n)
     a = lam.a
+    # direct arithmetic, not alpha.coroot: an independent check of that encoding
     if alpha.kind is RootKind.DIFF:
         return a[alpha.i - 1] - a[alpha.j - 1]
     if alpha.kind is RootKind.SUM:
@@ -525,24 +517,19 @@ def _build_reflection_window(swaps, n: int) -> tuple[int, ...]:
 def root_image(w: WeylElem, alpha: Root) -> tuple[Root, int]:
     """The pair (beta, sign) with w . alpha = sign * beta and beta positive."""
     vec = act(w, alpha.as_character(w.n)).a
-    support = [(i + 1, c) for i, c in enumerate(vec) if c != 0]
-    if len(support) == 1:
-        i, c = support[0]
-        if abs(c) != 2:
-            raise ValueError(f"{vec} is not a root vector")
-        return Root.long(i), 1 if c > 0 else -1
-    if len(support) == 2:
-        (i, ci), (j, cj) = support
-        if abs(ci) != 1 or abs(cj) != 1:
-            raise ValueError(f"{vec} is not a root vector")
-        if ci == 1 and cj == 1:
-            return Root.sum(i, j), 1
-        if ci == -1 and cj == -1:
-            return Root.sum(i, j), -1
-        if ci == 1 and cj == -1:
-            return Root.diff(i, j), 1
-        return Root.diff(i, j), -1
+    roots = _roots_by_vector(w.n)
+    if vec in roots:
+        return roots[vec], 1
+    neg = tuple(-c for c in vec)
+    if neg in roots:
+        return roots[neg], -1
     raise ValueError(f"{vec} is not a root vector")
+
+
+@functools.lru_cache(maxsize=32)
+def _roots_by_vector(n: int) -> Mapping[tuple[int, ...], Root]:
+    """Every positive root of rank n keyed by its vector; read-only."""
+    return MappingProxyType({alpha.as_character(n).a: alpha for alpha in positive_roots(n)})
 
 
 def inversion_count(w: WeylElem) -> int:

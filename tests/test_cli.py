@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zipcone.cli import run
 
 
@@ -335,3 +337,56 @@ def test_limits_accept_benchmark_and_readme_inputs():
     ):
         args = _build_parser().parse_args(argv)
         _check_sweep_args(args, _int_list(args.n))
+
+
+def test_cone_check_refuses_n_that_differs_from_lambda(capsys):
+    assert_refused(
+        capsys,
+        ["cone-check", "--n", "5", "--cone", "gs", "--lambda", "1,2,3|0"],
+        "--n is 5 but --lambda has rank 3",
+    )
+    code, out, _ = invoke(
+        capsys, "cone-check", "--n", "3", "--p", "5", "--cone", "lmin-i", "--lambda", "1,1,-25|1"
+    )
+    assert code == 0 and out == "member: true\n"
+
+
+def test_farkas_refuses_n_that_differs_from_target(capsys):
+    assert_refused(
+        capsys,
+        ["farkas", "--n", "7", "--cone", "pha-wmax", "--target", "1,1|0"],
+        "--n is 7 but --target has rank 2",
+    )
+    code, _, _ = invoke(capsys, "farkas", "--n", "2", "--cone", "pha-wmax", "--target", "1,1|0")
+    assert code == 0
+
+
+def test_verify_theorem_refuses_unwritable_out(capsys, tmp_path):
+    for target, reason in (
+        (tmp_path / "missing" / "cert.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ):
+        assert_refused(
+            capsys,
+            ["verify-theorem", "--n", "2", "--p", "3", "--out", str(target)],
+            f"cannot write --out {target}: {reason}",
+        )
+
+
+SWEEPS_ACROSS_JOBS = [
+    ("--suite", "gamma", "--n", "2"),
+    ("--suite", "gamma", "--n", "3"),
+    ("--suite", "gamma", "--n", "4"),
+    ("--suite", "lmin-oracle", "--n", "3", "--p", "3", "--samples", "40", "--seed", "0"),
+    ("--suite", "lmin-oracle", "--n", "3", "--p", "3", "--samples", "40", "--seed", "7"),
+]
+
+
+@pytest.mark.parametrize("flags", SWEEPS_ACROSS_JOBS, ids=" ".join)
+def test_sweep_json_is_byte_identical_across_jobs(capsys, flags):
+    outputs = set()
+    for jobs in ("1", "2", "3"):
+        code, out, _ = invoke(capsys, "sweep", *flags, "--jobs", jobs, "--json")
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1

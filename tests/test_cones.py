@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipcone.cones import (
     Cone,
@@ -13,17 +15,22 @@ from zipcone.cones import (
     lmin_member_enumerated,
     lmin_prefix_cone,
     n3_exact_cone,
+    orbit_subset_functional,
     pha_w_member,
     pha_wmax_cone,
     prefix_functional,
+    worst_subset,
 )
 from zipcone.hasse import hasse_map
+from zipcone.linalg import dot
 from zipcone.sweeps import random_dominant_character, random_rat_character
 from zipcone.weylroot import (
     Character,
     RatCharacter,
     canonical_elements,
+    long_orbit,
     random_element,
+    sum_orbit,
 )
 
 
@@ -62,6 +69,33 @@ def test_lmin_shortcut_matches_enumeration(n, p):
     for _ in range(120):
         lam = random_rat_character(n, rng)
         assert lmin_member(lam, p) == lmin_member_enumerated(lam, p)
+
+
+def _lmin_member_by_rows(lam, p):
+    """The row form: each orbit's worst-subset functional, dotted with lam."""
+    n = lam.n
+    return all(
+        dot(orbit_subset_functional(orbit, worst_subset(orbit, lam), n, p), lam.vector()) <= 0
+        for orbit in (long_orbit(n), sum_orbit(n))
+    )
+
+
+_entries = st.one_of(
+    st.integers(-12, 12).map(Fraction),
+    st.fractions(min_value=-60, max_value=60, max_denominator=8),
+)
+
+
+@st.composite
+def rat_characters(draw):
+    n = draw(st.integers(1, 8))
+    return RatCharacter(tuple(draw(st.lists(_entries, min_size=n, max_size=n))), draw(_entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=rat_characters(), p=st.sampled_from([2, 3, 5, 7]))
+def test_lmin_member_matches_row_form(lam, p):
+    assert lmin_member(lam, p) == _lmin_member_by_rows(lam, p)
 
 
 def test_lmin_enumeration_refuses_rank_above_limit():

@@ -1,3 +1,4 @@
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -18,3 +19,30 @@ def test_no_tracked_file_is_ignored():
         check=True,
     )
     assert listed.stdout == ""
+
+
+def _unused_imports(path):
+    """Top-level imports of a module that no name in it reads; an import on
+    a line marked `# noqa: F401` is exempt."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_package_modules():
+    modules = sorted((ROOT / "src" / "zipcone").glob("*.py"))
+    assert modules
+    unused = [u for path in modules if path.name != "__init__.py" for u in _unused_imports(path)]
+    assert unused == []

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zipcone.linalg import dot
 from zipcone.weylroot import (
     Character,
     RatCharacter,
     Root,
+    RootKind,
     WeylElem,
     act,
     canonical_elements,
@@ -36,6 +38,57 @@ def test_positive_roots_rank2():
     roots = positive_roots(2)
     assert set(roots) == {Root.diff(1, 2), Root.sum(1, 2), Root.long(1), Root.long(2)}
     assert len(roots) == 4
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_positive_roots_come_sorted(n):
+    assert sorted(positive_roots(n)) == positive_roots(n)
+
+
+def _family_key(alpha):
+    """The root order spelled out: differences, sums, long roots; then i, j."""
+    family = {RootKind.DIFF: 0, RootKind.SUM: 1, RootKind.LONG: 2}
+    return (family[alpha.kind], alpha.i, alpha.j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_root_order_is_family_then_indices(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        roots = positive_roots(n) + positive_roots(n)[:n]
+        rng.shuffle(roots)
+        assert sorted(roots) == sorted(roots, key=_family_key)
+
+
+def _defined_vectors(alpha, n):
+    """(root, coroot) on (a_1..a_n), written out from the definitions:
+    e_i - e_j and e_i + e_j are their own coroots; 2e_i has coroot e_i."""
+    e = [[int(k == m) for k in range(n)] for m in range(n)]
+    i = alpha.i - 1
+    if alpha.kind is RootKind.LONG:
+        return [2 * x for x in e[i]], e[i]
+    sign = -1 if alpha.kind is RootKind.DIFF else 1
+    vec = [x + sign * y for x, y in zip(e[i], e[alpha.j - 1])]
+    return vec, vec
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coroot_row_and_as_character_match_definitions(n):
+    for alpha in positive_roots(n):
+        root, coroot = _defined_vectors(alpha, n)
+        assert alpha.as_character(n) == Character(tuple(root), 0)
+        assert alpha.coroot_row(n) == tuple(coroot)
+        assert dict(alpha.coroot) == {k: c for k, c in enumerate(coroot) if c}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pairing_is_the_coroot_row(n):
+    rng = random.Random(10 + n)
+    chars = [Character(tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-3, 3))]
+    chars.append(RatCharacter(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))))
+    for lam in chars:
+        for alpha in positive_roots(n):
+            assert pairing(lam, alpha) == dot(alpha.coroot_row(n), lam.a)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
