@@ -1,15 +1,20 @@
 """Bruhat order, lower neighbors and minimal coset representatives.
 
 Lower neighbors are computed two ways: combinatorially from admissible
-pairs of the window, and by the brute-force definition (a length drop of
-one under a positive reflection).  The two must agree; the sweeps and
+pairs of the window, through a per-rank table from position pairs to
+roots, and by the brute-force definition (a length drop of one under a
+positive reflection).  The two must agree; the sweeps and
 the acceptance suite check this exhaustively.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping
+
 from . import kernels, linalg
 from .weylroot import (
     Root,
@@ -53,40 +58,55 @@ def rank_matrix(w: WeylElem, i: int, j: int) -> int:
 
 
 def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
-    """w1 <= w2 iff r_{w1}(i,j) >= r_{w2}(i,j) for all i, j."""
+    """w1 <= w2 iff r_{w1}(i,j) >= r_{w2}(i,j) for all i, j; the kernel tests
+    it in the equivalent sorted-prefix form."""
     if w1.n != w2.n:
         raise ValueError(f"rank mismatch: {w1.n} vs {w2.n}")
     return kernels.bruhat_leq(w1.window, w2.window)
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_roots(n: int) -> Mapping[tuple[int, int], tuple[PairClass, Root, int]]:
+    """Every 1-based position pair (i, j), i < j, i <= n, mapped to its
+    class, its root and the largest w(i) the class allows: E1 (j <= n) to
+    e_i - e_j, E3 (j = 2n+1-i) to 2e_i, and every other pair to e_i + e_k,
+    k = 2n+1-j, under E2.  E2 needs w(i) <= n and w(j) <= n; on an
+    admissible pair w(j) < w(i), so the bound n on w(i) is the whole test,
+    and E1 and E3 carry the bound 2n that every value meets.  Pairs with
+    i > n are in no class and absent.  Built once per rank, on first use;
+    read-only, since every caller shares it."""
+    m = 2 * n
+    table = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, m + 1):
+            if j <= n:
+                table[i, j] = (PairClass.E1, Root.diff(i, j), m)
+            elif j == m + 1 - i:
+                table[i, j] = (PairClass.E3, Root.long(i), m)
+            else:
+                k = m + 1 - j
+                table[i, j] = (PairClass.E2, Root.sum(min(i, k), max(i, k)), n)
+    return MappingProxyType(table)
+
+
 def admissible_pairs(w: WeylElem) -> list[AdmissiblePair]:
     """All admissible pairs of the window with their class labels."""
-    n = w.n
+    win = w.window
+    table = _pair_roots(w.n)
     out = []
-    for i, j in kernels.admissible_pairs(w.window):
-        if j <= n:
-            cls = PairClass.E1
-        elif i <= n and j == 2 * n + 1 - i:
-            cls = PairClass.E3
-        elif i <= n < j and w(i) <= n and w(j) <= n:
-            cls = PairClass.E2
-        else:
-            cls = PairClass.OTHER
+    for i, j in kernels.admissible_pairs(win):
+        entry = table.get((i, j))
+        cls = entry[0] if entry is not None and win[i - 1] <= entry[2] else PairClass.OTHER
         out.append(AdmissiblePair(i, j, cls))
     return out
 
 
 def gamma(pair: AdmissiblePair, w: WeylElem) -> Root:
     """The positive root attached to a classed admissible pair."""
-    n = w.n
-    if pair.cls is PairClass.E1:
-        return Root.diff(pair.i, pair.j)
-    if pair.cls is PairClass.E2:
-        k = 2 * n + 1 - pair.j
-        return Root.sum(min(pair.i, k), max(pair.i, k))
-    if pair.cls is PairClass.E3:
-        return Root.long(pair.i)
-    raise ValueError(f"pair ({pair.i}, {pair.j}) is in no E-class")
+    entry = _pair_roots(w.n).get((pair.i, pair.j))
+    if pair.cls is PairClass.OTHER or entry is None:
+        raise ValueError(f"pair ({pair.i}, {pair.j}) is in no E-class")
+    return entry[1]
 
 
 @dataclass(frozen=True)
@@ -97,12 +117,20 @@ class NeighborSet:
     roots: frozenset[Root]
 
 
+def lower_neighbor_roots(window) -> list[Root]:
+    """E_w of a raw window: the root of each classed admissible pair."""
+    table = _pair_roots(len(window) // 2)
+    out = []
+    for pair in kernels.admissible_pairs(window):
+        entry = table.get(pair)
+        if entry is not None and window[pair[0] - 1] <= entry[2]:
+            out.append(entry[1])
+    return out
+
+
 def lower_neighbors(w: WeylElem) -> NeighborSet:
     """E_w computed from the classed admissible pairs."""
-    roots = frozenset(
-        gamma(p, w) for p in admissible_pairs(w) if p.cls is not PairClass.OTHER
-    )
-    return NeighborSet(w, roots)
+    return NeighborSet(w, frozenset(lower_neighbor_roots(w.window)))
 
 
 def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import kernels
@@ -306,7 +307,23 @@ def _cmd_farkas(args) -> int:
     return 0 if cert.implied else 1
 
 
+def _refuse_out(path, exc: OSError) -> int:
+    print(f"error: cannot write --out {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_verify_theorem(args) -> int:
+    if args.out:
+        # refuse a path that cannot be written before the build, not after it;
+        # the probe leaves no trace: append mode keeps an existing file as it
+        # is, and a file the probe creates is removed again
+        try:
+            existed = os.path.exists(args.out)
+            open(args.out, "a", encoding="utf-8").close()
+            if not existed:
+                os.remove(args.out)
+        except OSError as exc:
+            return _refuse_out(args.out, exc)
     cert = envelope_certificate(args.n, args.p)
     payload = cert.to_json_dict()
     if args.path_report:
@@ -316,8 +333,7 @@ def _cmd_verify_theorem(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
         except OSError as exc:
-            print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
+            return _refuse_out(args.out, exc)
     ok_checks = sum(1 for c in cert.checks if c.ok)
     lines = [
         f"envelope generators: {len(cert.base_generators)} base + {len(cert.ha_weights)} path weights",

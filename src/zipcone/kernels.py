@@ -9,6 +9,9 @@ JSON of `weyl --json` and for benchmark records.
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import le
+
 BACKEND = "python"
 
 
@@ -85,18 +88,19 @@ def length_change(w, swaps):
 
 
 def bruhat_leq(w1, w2):
-    """Rank-matrix criterion: r_{w1}(i,j) >= r_{w2}(i,j) for all i, j."""
-    m = len(w1)
-    r1 = [0] * m
-    r2 = [0] * m
-    for i in range(m):
-        for j in range(w1[i] - 1, m):
-            r1[j] += 1
-        for j in range(w2[i] - 1, m):
-            r2[j] += 1
-        for j in range(m):
-            if r1[j] < r2[j]:
-                return False
+    """Sorted-prefix (tableau) criterion: for every i, the sorted values
+    w1(1..i) lie entrywise at or below the sorted values w2(1..i)
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.6.3; the order
+    on mirror windows is the one induced from all permutations, Cor 8.1.9).
+    For each i this is the rank-matrix inequality r_{w1}(i,j) >= r_{w2}(i,j)
+    for all j."""
+    a = []
+    b = []
+    for x, y in zip(w1, w2):
+        insort(a, x)
+        insort(b, y)
+        if not all(map(le, a, b)):
+            return False
     return True
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import kernels, linalg
-from .bruhat import lower_neighbors, lower_neighbors_oracle
+from .bruhat import lower_neighbor_roots, lower_neighbors, lower_neighbors_oracle
 from .cones import (
     dominance_functionals,
     farkas_implies,
@@ -24,7 +24,7 @@ from .cones import (
     lmin_member_enumerated,
     prefix_functional,
 )
-from .weylroot import RatCharacter, WeylElem, compose, reflection, weyl_elements
+from .weylroot import RatCharacter, WeylElem, reflection_windows, weyl_elements
 
 _MAX_REPORTED_FAILURES = 20
 
@@ -91,29 +91,37 @@ def gamma_suite(n: int, jobs: int = 1) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# bruhat: rank-matrix order against the transitive closure of covers
+# bruhat: sorted-prefix order against the transitive closure of covers
 
 
-def cover_closure_bits(elements: list[WeylElem]) -> dict[WeylElem, int]:
-    """Bitmask of {v : v <= w} per element, via covers only: the down-set is
-    the reflexive-transitive closure of the lower-neighbor relation."""
-    index = {w: k for k, w in enumerate(elements)}
-    bits: dict[WeylElem, int] = {}
-    for w in sorted(elements, key=lambda x: x.length()):
-        mask = 1 << index[w]
-        n = w.n
-        for alpha in lower_neighbors(w).roots:
-            mask |= bits[compose(w, reflection(alpha, n))]
-        bits[w] = mask
+def cover_closure_bits(windows: list[tuple[int, ...]]) -> list[int]:
+    """Bitmask of the down-set {v : v <= w} of each window, as a list indexed
+    like `windows`: bit k of bits[j] says windows[k] <= windows[j].  Built
+    from covers only: the down-set is the reflexive-transitive closure of
+    the lower-neighbor relation, so each mask is its own bit or-ed with the
+    masks of its lower neighbors w*s_alpha, filled in order of length.
+    Works on raw windows and integer indices; the windows must be the whole
+    group of one rank, so that every lower neighbor is among them."""
+    refl = reflection_windows(len(windows[0]) // 2)
+    index = {win: k for k, win in enumerate(windows)}
+    bits = [0] * len(windows)
+    for k in sorted(range(len(windows)), key=lambda k: kernels.length(windows[k])):
+        win = windows[k]
+        mask = 1 << k
+        for alpha in lower_neighbor_roots(win):
+            mask |= bits[index[kernels.compose(win, refl[alpha])]]
+        bits[k] = mask
     return bits
 
 
 def bruhat_suite(n: int, samples: int = 0, seed: int = 0) -> SweepResult:
-    """Exhaustive over all pairs when no sample count is given (sensible for
-    n <= 3); otherwise a seeded sample of pairs."""
+    """The sorted-prefix order (`kernels.bruhat_leq`) against the cover
+    closure, on raw windows.  Exhaustive over all pairs when no sample
+    count is given (sensible for n <= 3); otherwise a seeded sample of
+    pairs."""
     elements = list(weyl_elements(n))
-    bits = cover_closure_bits(elements)
-    index = {w: k for k, w in enumerate(elements)}
+    windows = [w.window for w in elements]
+    bits = cover_closure_bits(windows)
     if samples:
         rng = random.Random(seed)
         pairs = [
@@ -124,11 +132,10 @@ def bruhat_suite(n: int, samples: int = 0, seed: int = 0) -> SweepResult:
         pairs = [(i, j) for i in range(len(elements)) for j in range(len(elements))]
     failures = []
     for i, j in pairs:
-        w1, w2 = elements[i], elements[j]
-        by_rank = kernels.bruhat_leq(w1.window, w2.window)
-        by_closure = bool(bits[w2] & (1 << index[w1]))
+        by_rank = kernels.bruhat_leq(windows[i], windows[j])
+        by_closure = bool(bits[j] >> i & 1)
         if by_rank != by_closure:
-            failures.append(f"{w1} vs {w2}")
+            failures.append(f"{elements[i]} vs {elements[j]}")
     passed = len(pairs) - len(failures)
     params = {"n": n}
     if samples:

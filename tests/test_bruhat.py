@@ -155,13 +155,33 @@ def test_lower_neighbors_examples():
     }
 
 
-@pytest.mark.parametrize("n", [2, 3])
+def reference_gamma(i, j, w):
+    """The root of an admissible pair from the class definitions, or None:
+    E1 gives e_i - e_j, E2 gives e_i + e_k with k = 2n+1-j, E3 gives 2e_i."""
+    n = w.n
+    if j <= n:
+        return Root.diff(i, j)
+    if i <= n and j == 2 * n + 1 - i:
+        return Root.long(i)
+    if i <= n < j and w(i) <= n and w(j) <= n:
+        k = 2 * n + 1 - j
+        return Root.sum(min(i, k), max(i, k))
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_gamma_bijection_exhaustive(n):
     for w in weyl_elements(n):
-        pairs = [p for p in admissible_pairs(w) if p.cls is not PairClass.OTHER]
+        all_pairs = admissible_pairs(w)
+        pairs = [p for p in all_pairs if p.cls is not PairClass.OTHER]
         roots = [gamma(p, w) for p in pairs]
         assert len(set(roots)) == len(roots)  # injective on the E-classes
         assert frozenset(roots) == lower_neighbors_oracle(w).roots
+        # the table-driven E_w, against the same set and the class definitions
+        assert lower_neighbors(w).roots == frozenset(roots)
+        assert [reference_gamma(p.i, p.j, w) for p in all_pairs] == [
+            None if p.cls is PairClass.OTHER else gamma(p, w) for p in all_pairs
+        ]
 
 
 @pytest.mark.parametrize("n", [2, 3])

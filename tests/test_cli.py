@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipcone.cli import run
 
@@ -361,7 +365,14 @@ def test_farkas_refuses_n_that_differs_from_target(capsys):
     assert code == 0
 
 
-def test_verify_theorem_refuses_unwritable_out(capsys, tmp_path):
+def test_verify_theorem_refuses_unwritable_out(capsys, tmp_path, monkeypatch):
+    import zipcone.cli
+
+    def never(*args):
+        raise AssertionError("the certificate was built for an unwritable --out")
+
+    # the path is refused before the build, so the build is never reached
+    monkeypatch.setattr(zipcone.cli, "envelope_certificate", never)
     for target, reason in (
         (tmp_path / "missing" / "cert.json", "No such file or directory"),
         (tmp_path, "Is a directory"),
@@ -373,20 +384,64 @@ def test_verify_theorem_refuses_unwritable_out(capsys, tmp_path):
         )
 
 
+def test_verify_theorem_refused_build_leaves_no_out_file(capsys, tmp_path):
+    target = tmp_path / "cert.json"
+    assert_refused(
+        capsys, ["verify-theorem", "--n", "0", "--p", "5", "--out", str(target)], "rank must be at least 1"
+    )
+    assert not target.exists()
+
+
+def test_verify_theorem_out_replaces_an_existing_file(capsys, tmp_path):
+    target = tmp_path / "cert.json"
+    target.write_text("x" * 100_000)
+    code, out, _ = invoke(capsys, "verify-theorem", "--n", "2", "--p", "3", "--json", "--out", str(target))
+    assert code == 0
+    assert json.loads(target.read_text()) == json.loads(out)
+
+
 SWEEPS_ACROSS_JOBS = [
     ("--suite", "gamma", "--n", "2"),
     ("--suite", "gamma", "--n", "3"),
     ("--suite", "gamma", "--n", "4"),
     ("--suite", "lmin-oracle", "--n", "3", "--p", "3", "--samples", "40", "--seed", "0"),
     ("--suite", "lmin-oracle", "--n", "3", "--p", "3", "--samples", "40", "--seed", "7"),
+    ("--suite", "lmin-oracle", "--n", "3", "--p", "3", "--samples", "60", "--seed", "5"),
+    ("--suite", "bruhat", "--n", "3", "--samples", "500", "--seed", "4"),
 ]
 
 
-@pytest.mark.parametrize("flags", SWEEPS_ACROSS_JOBS, ids=" ".join)
-def test_sweep_json_is_byte_identical_across_jobs(capsys, flags):
-    outputs = set()
+def sweep_json_across_jobs(flags):
+    """The `sweep --json` stdout for --jobs 1, 2 and 3, each with its exit code."""
+    outputs = []
     for jobs in ("1", "2", "3"):
-        code, out, _ = invoke(capsys, "sweep", *flags, "--jobs", jobs, "--json")
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = run(["sweep", *flags, "--jobs", jobs, "--json"])
+        outputs.append((code, buf.getvalue()))
+    return outputs
+
+
+@pytest.mark.parametrize("flags", SWEEPS_ACROSS_JOBS, ids=" ".join)
+def test_sweep_json_is_byte_identical_across_jobs(flags):
+    outputs = sweep_json_across_jobs(flags)
+    assert outputs[0][0] == 0
+    assert outputs[1:] == outputs[:1] * 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    flags=st.one_of(
+        st.integers(1, 3).map(lambda n: ("--suite", "gamma", "--n", str(n))),
+        st.tuples(st.integers(1, 3), st.integers(1, 40), st.integers(0, 2**31 - 1)).map(
+            lambda t: (
+                "--suite", "lmin-oracle", "--n", str(t[0]), "--p", "3",
+                "--samples", str(t[1]), "--seed", str(t[2]),
+            )
+        ),
+    )
+)
+def test_sweep_json_is_byte_identical_across_jobs_property(flags):
+    outputs = sweep_json_across_jobs(flags)
+    assert outputs[0][0] == 0
+    assert outputs[1:] == outputs[:1] * 2

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zipcone import kernels
-from zipcone.sweeps import gamma_suite, lmin_oracle_suite
+from zipcone.sweeps import gamma_suite
 from zipcone.weylroot import (
     positive_roots,
     random_element,
@@ -67,8 +67,30 @@ def test_oracle_matches_lower_neighbors_rank5():
     assert result.ok and result.total == 3840
 
 
-def test_parallel_sweeps_match_serial():
-    assert gamma_suite(3, jobs=2).to_json_dict() == gamma_suite(3, jobs=1).to_json_dict()
-    serial = lmin_oracle_suite(3, 3, 60, seed=5, jobs=1)
-    parallel = lmin_oracle_suite(3, 3, 60, seed=5, jobs=2)
-    assert serial.to_json_dict() == parallel.to_json_dict()
+def bruhat_leq_by_rank_matrix(w1, w2):
+    """w1 <= w2 from the definition: r_{w1}(i,j) >= r_{w2}(i,j) for all i, j."""
+    m = len(w1)
+    return all(
+        kernels.rank_entry(w1, i, j) >= kernels.rank_entry(w2, i, j)
+        for i in range(1, m + 1)
+        for j in range(1, m + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bruhat_leq_matches_rank_matrix_exhaustive(n):
+    windows = [w.window for w in weyl_elements(n)]
+    for w1 in windows:
+        for w2 in windows:
+            assert kernels.bruhat_leq(w1, w2) == bruhat_leq_by_rank_matrix(w1, w2), (w1, w2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_bruhat_leq_matches_rank_matrix_sampled(n, seed):
+    rng = random.Random(seed)
+    u = random_element(n, rng).window
+    v = random_element(n, rng).window
+    us = kernels.compose(u, reflection_windows(n)[rng.choice(positive_roots(n))])
+    for w1, w2 in ((u, v), (v, u), (u, u), (us, u), (u, us)):
+        assert kernels.bruhat_leq(w1, w2) == bruhat_leq_by_rank_matrix(w1, w2), (w1, w2)

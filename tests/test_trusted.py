@@ -9,15 +9,23 @@ oracle agrees with an object-level reference.
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipcone.bruhat import bruhat_leq, enum_IW, lower_neighbors_oracle
+from zipcone import weylroot
+from zipcone.bruhat import (
+    AdmissiblePair,
+    admissible_pairs,
+    bruhat_leq,
+    enum_IW,
+    lower_neighbors_oracle,
+)
 from zipcone.certify import Certificate, envelope_certificate
 from zipcone.hasse import anchor_element
-from zipcone.sweeps import gamma_suite
+from zipcone.sweeps import bruhat_suite, gamma_suite
 from zipcone.weylroot import (
     WeylElem,
     compose,
@@ -132,6 +140,36 @@ def test_sweep_and_oracle_validate_nothing(monkeypatch):
     for w in weyl_elements(3):
         lower_neighbors_oracle(w)
     assert calls == []
+
+
+def test_sweeps_build_no_pairs_and_no_reflections(monkeypatch):
+    pairs = []
+    original_init = AdmissiblePair.__init__
+
+    def counting_init(self, *args):
+        pairs.append(args)
+        original_init(self, *args)
+
+    monkeypatch.setattr(AdmissiblePair, "__init__", counting_init)
+    reflections = []
+    original = weylroot.reflection
+
+    def counting_reflection(*args):
+        reflections.append(args)
+        return original(*args)
+
+    # rebind every copy the package holds, as ``from .weylroot import reflection`` makes one
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("zipcone") and getattr(module, "reflection", None) is original:
+            monkeypatch.setattr(module, "reflection", counting_reflection)
+    admissible_pairs(WeylElem.parse("4 3 2 1"))
+    weylroot.reflection(positive_roots(2)[0], 2)
+    assert len(pairs) == 3 and len(reflections) == 1  # the counters see both
+    pairs.clear()
+    reflections.clear()
+    assert bruhat_suite(3, 200, 0).ok
+    assert gamma_suite(3).ok
+    assert pairs == [] and reflections == []
 
 
 def reference_oracle(w):
