@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zipcone import kernels
-from zipcone.sweeps import gamma_suite
+from zipcone.sweeps import gamma_suite, lmin_oracle_suite
 from zipcone.weylroot import (
     positive_roots,
     random_element,
@@ -65,6 +65,13 @@ def test_reflection_swaps_table():
 def test_oracle_matches_lower_neighbors_rank5():
     result = gamma_suite(5)
     assert result.ok and result.total == 3840
+
+
+def test_parallel_sweeps_match_serial():
+    assert gamma_suite(3, jobs=2).to_json_dict() == gamma_suite(3, jobs=1).to_json_dict()
+    serial = lmin_oracle_suite(3, 3, 60, seed=5, jobs=1)
+    parallel = lmin_oracle_suite(3, 3, 60, seed=5, jobs=2)
+    assert serial.to_json_dict() == parallel.to_json_dict()
 
 
 def bruhat_leq_by_rank_matrix(w1, w2):
