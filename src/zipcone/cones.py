@@ -145,19 +145,18 @@ def lmin_member(lam: AnyCharacter, p: int) -> bool:
     The reduction is one line: each root contributes with coefficient 1 or
     1/p independently, and the larger contribution is 1 on positives and
     1/p on negatives.  So, cleared by p, each orbit's worst value is the sum
-    of t over negative pairings t and of p * t over the rest.
-    lmin_member_enumerated is the 2^|orbit| oracle.
+    of f(t) over its pairings t, with f(t) = t for t < 0 and p * t
+    otherwise.  The pairings are read straight off lam.a: a_i for the long
+    orbit and a_i + a_j (i < j) for the sum orbit, an O(n^2) pair sum that
+    builds no Root.  worst_subset is the root-level reference and
+    lmin_member_enumerated the 2^|orbit| oracle.
     """
     _check_p(p)
-    n = lam.n
-    for orbit in (long_orbit(n), sum_orbit(n)):
-        worst = 0
-        for alpha in orbit:
-            t = pairing(lam, alpha)
-            worst += t if t < 0 else p * t
-        if worst > 0:
-            return False
-    return True
+    a = lam.a
+    if sum(t if t < 0 else p * t for t in a) > 0:
+        return False
+    pair_sums = (x + y for i, x in enumerate(a) for y in a[i + 1:])
+    return sum(t if t < 0 else p * t for t in pair_sums) <= 0
 
 
 # subset enumeration visits 2^(n(n-1)/2) sum-orbit subsets: 0.03 s per

@@ -16,7 +16,7 @@ list omits long roots that demonstrably occur.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels, linalg
@@ -305,7 +305,7 @@ class StepReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**vars(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -352,6 +352,7 @@ def verify_path_lemmas(n: int, p: int) -> PathReport:
             and all(pairing(step.chi, a) == 0 for a in others)
         )
         closed = ha_closed_form(n, p, step.d, step.i)
+        relation = compare_step_weights(n, p, step.d, step.i, step.ha)
         reports.append(
             StepReport(
                 d=step.d,
@@ -368,9 +369,8 @@ def verify_path_lemmas(n: int, p: int) -> PathReport:
                 chi_orthogonal=orthogonal,
                 pipeline_weight=str(step.ha),
                 closed_form_weight=str(closed),
-                first_term_relation=compare_step_weights(n, p, step.d, step.i, step.ha),
-                second_term_agrees=compare_step_weights(n, p, step.d, step.i, step.ha)
-                in ("equal", "first_index_shift"),
+                first_term_relation=relation,
+                second_term_agrees=relation in ("equal", "first_index_shift"),
                 pipeline_in_lmin=lmin_member(step.ha, p),
                 closed_form_in_lmin=lmin_member(closed, p),
             )

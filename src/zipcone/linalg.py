@@ -55,6 +55,9 @@ def _bareiss(mat: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     After a pivot step every entry below the pivot row is a minor of the
     input, so the division by the previous pivot is exact; on a nonsingular
     square matrix the last pivot is the determinant up to the swap sign.
+    A row with 0 in the pivot column is left as it is when the pivot equals
+    the previous one, since its update is then the identity: on sparse
+    coroot rows that is nearly every row.
     """
     m = len(mat)
     pivots: list[int] = []
@@ -74,6 +77,8 @@ def _bareiss(mat: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
         pv = top[col]
         for k in range(r + 1, m):
             a = mat[k][col]
+            if a == 0 and pv == prev:
+                continue
             mat[k] = [(pv * x - a * y) // prev for x, y in zip(mat[k], top)]
         prev = pv
         pivots.append(col)

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zipcone
 from zipcone.cli import run
 
 
@@ -445,3 +450,17 @@ def test_sweep_json_is_byte_identical_across_jobs_property(flags):
     outputs = sweep_json_across_jobs(flags)
     assert outputs[0][0] == 0
     assert outputs[1:] == outputs[:1] * 2
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """`python -m zipcone` is the CLI, with the package found on the path
+    this suite imports it from."""
+    src = str(Path(zipcone.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["path", "--n", "2", "--p", "2"]
+    done = subprocess.run(
+        [sys.executable, "-m", "zipcone", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and out
+    assert (done.returncode, done.stdout) == (code, out)

@@ -27,6 +27,7 @@ from zipcone.sweeps import random_dominant_character, random_rat_character
 from zipcone.weylroot import (
     Character,
     RatCharacter,
+    Root,
     canonical_elements,
     long_orbit,
     random_element,
@@ -88,7 +89,7 @@ _entries = st.one_of(
 
 @st.composite
 def rat_characters(draw):
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 16))
     return RatCharacter(tuple(draw(st.lists(_entries, min_size=n, max_size=n))), draw(_entries))
 
 
@@ -96,6 +97,25 @@ def rat_characters(draw):
 @given(lam=rat_characters(), p=st.sampled_from([2, 3, 5, 7]))
 def test_lmin_member_matches_row_form(lam, p):
     assert lmin_member(lam, p) == _lmin_member_by_rows(lam, p)
+
+
+def test_lmin_member_builds_no_roots(monkeypatch):
+    built = []
+    original = Root.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Root, "__post_init__", counting)
+    Root.long(1)
+    assert len(built) == 1  # the counter sees construction
+    built.clear()
+    lam = Character(tuple(range(8, -8, -1)), 0)
+    for p in (2, 3, 5, 7):
+        assert not lmin_member(lam, p)
+        assert lmin_member(-1 * Character.unit(16, 1), p)
+    assert built == []
 
 
 def test_lmin_enumeration_refuses_rank_above_limit():

@@ -10,6 +10,10 @@ window product was still fully re-validated and the neighbor oracle worked
 on validated objects; they too are the same under different PYTHONHASHSEED
 values.
 
+The digests of `path` at n = 12 and n = 16 were computed while
+`cones.lmin_member` still summed pairings over `Root` objects and the
+Bareiss elimination still rewrote every row below each pivot.
+
 The digests of the farkas and cone-check verbs were computed while the
 exact linear algebra still ran over Fraction: Fourier-Motzkin on Fraction
 rows, Gauss-Jordan in `solve_square`.  Each digest covers a seeded group of
@@ -62,6 +66,10 @@ VERB_DIGESTS = {
         "c0de9ba955b2356020ce4444ea49380eb07aa92f37d710804fb51f2d99ae05b4",
     ("path", "--n", "8", "--p", "5", "--json"):
         "e59a2b3fdf1dd4ed255c0c39eaa4be984d844898b4cdee10f8238f98e0a73cbe",
+    ("path", "--n", "12", "--p", "2", "--json"):
+        "ee98c27b4c4d6afec370e1debdf4a0209d6ca4774e4639cf50e4716715751a4a",
+    ("path", "--n", "16", "--p", "13", "--json"):
+        "acc6483e7d1b63e1b82aba60f6d390a5f11de70c153c6c8dc64445faad205547",
     ("neighbors", "--elem", "4 6 5 2 1 3", "--json"):
         "72162610a947703a70dcc878bc6b76d5686a96cebec75692022a5e3d38b909ad",
 }

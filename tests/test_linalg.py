@@ -57,10 +57,34 @@ entries = st.one_of(
 
 
 @st.composite
+def coroot_rows(draw, ncols):
+    """A signed coroot row as the separating-system checks build them:
+    +-(e_i - e_j), +-(e_i + e_j), +-e_i or +-2e_i, and now and then a dense
+    row.  Elimination on such rows mostly meets a 0 in the pivot column
+    under a pivot equal to the previous one, the case `_bareiss` skips."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    row = [0] * ncols
+    i = draw(st.integers(0, ncols - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    if ncols > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 2))
+        j += j >= i
+        row[i] = sign
+        row[j] = sign * draw(st.sampled_from([1, -1]))
+    else:
+        row[i] = sign * draw(st.sampled_from([1, 2]))
+    return row
+
+
+@st.composite
 def matrices(draw):
     ncols = draw(st.integers(1, 6))
-    if draw(st.booleans()):
+    branch = draw(st.integers(0, 2))
+    if branch == 0:
         return draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=7))
+    if branch == 1:
+        return draw(st.lists(coroot_rows(ncols), max_size=9))
     # a product of a short basis and coefficients: rank deficient on purpose
     basis = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=3))
     coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)), max_size=7))
@@ -69,10 +93,13 @@ def matrices(draw):
 
 @st.composite
 def square_systems(draw):
-    """(a, b) with a square; about half the matrices repeat a scaled row, so
-    they are singular."""
+    """(a, b) with a square, its rows dense or signed coroot rows; about half
+    the matrices repeat a scaled row, so they are singular."""
     m = draw(st.integers(0, 5))
-    a = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        a = draw(st.lists(coroot_rows(m), min_size=m, max_size=m)) if m else []
+    else:
+        a = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m))
     if m >= 2 and draw(st.booleans()):
         k = draw(st.integers(-3, 3))
         a[-1] = [k * x for x in a[0]]
