@@ -25,6 +25,7 @@ from .weylroot import (
     non_levi_positive_roots,
     reflection,
     reflection_swaps,
+    root_order,
 )
 
 
@@ -155,7 +156,7 @@ def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:
 
 def is_separating(w: WeylElem) -> bool:
     """Whether the coroot functionals of E_w are linearly independent over Q."""
-    roots = sorted(lower_neighbors(w).roots)
+    roots = sorted(lower_neighbors(w).roots, key=root_order)
     rows = [alpha.coroot_row(w.n) for alpha in roots]
     return linalg.rank(rows) == len(rows)
 

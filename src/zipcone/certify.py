@@ -88,7 +88,8 @@ class Certificate:
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
-    def to_json_dict(self) -> dict:
+    def _head(self) -> dict:
+        """Every top-level field but the checks."""
         return {
             "n": self.n,
             "p": self.p,
@@ -109,12 +110,49 @@ class Certificate:
             ],
             "base_generators": [str(g) for g in self.base_generators],
             "ha_weights": [str(h) for h in self.ha_weights],
-            "checks": [c.to_json_dict() for c in self.checks],
             "verdict": self.verdict,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+    def to_json_dict(self) -> dict:
+        """The structured view, and the reference for `to_json`."""
+        return {**self._head(), "checks": [c.to_json_dict() for c in self.checks]}
+
+    def to_json(self, path_report: Optional[dict] = None) -> str:
+        """The text of `json.dumps(payload, indent=2, sort_keys=True)`, where
+        the payload is `to_json_dict()` plus `path_report` as a top-level
+        key when one is given, rendered without building the payload.
+
+        The checks repeat a few dozen functional rows and far fewer
+        generators than checks, so each distinct row, generator and label is
+        rendered once and every check is assembled from those fragments with
+        its keys in sorted order.  Everything else goes through `json.dumps`
+        and is moved to its depth by indenting every line after the first;
+        that is exact because JSON strings never hold a raw newline.
+        """
+        rows, gens, labels = _Fragments(list), _Fragments(str), _Fragments(str)
+        gens[None] = "null"
+        checks = []
+        for c in self.checks:
+            parts = [
+                '{\n      "functional": ', rows[c.functional],
+                ',\n      "generator": ', gens[c.generator],
+                ',\n      "label": ', labels[c.label],
+            ]
+            if c.multipliers is not None:
+                parts += [',\n      "multipliers": ', _indented([frac_str(m) for m in c.multipliers], 3)]
+            parts += [',\n      "ok": ', "true" if c.ok else "false"]
+            if c.value is not None:
+                parts += [',\n      "value": "', frac_str(c.value), '"']
+            if c.witness is not None:
+                parts += [',\n      "witness": ', _indented([frac_str(x) for x in c.witness], 3)]
+            parts.append("\n    }")
+            checks.append("".join(parts))
+        head = self._head()
+        if path_report is not None:
+            head["path_report"] = path_report
+        fields = {k: _indented(v, 1) for k, v in head.items()}
+        fields["checks"] = ("[\n    " + ",\n    ".join(checks) + "\n  ]") if checks else "[]"
+        return "{\n" + ",\n".join(f'  "{k}": {fields[k]}' for k in sorted(fields)) + "\n}"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
@@ -161,6 +199,24 @@ class Certificate:
         )
 
 
+def _indented(value, depth: int) -> str:
+    """`value` as indented, key-sorted JSON, placed `depth` levels deep."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+class _Fragments(dict):
+    """JSON fragments at the depth of a check's values, each rendered on its
+    first lookup from `to_value(key)`."""
+
+    def __init__(self, to_value):
+        super().__init__()
+        self.to_value = to_value
+
+    def __missing__(self, key) -> str:
+        text = self[key] = _indented(self.to_value(key), 3)
+        return text
+
+
 def _char_from_vector(vec: IntRow) -> Character:
     return Character(tuple(vec[:-1]), vec[-1])
 
@@ -187,38 +243,32 @@ def envelope_certificate(n: int, p: int) -> Certificate:
 
     checks: list[EnvelopeCheck] = []
     orbits = [("long", long_orbit(n)), ("sum", sum_orbit(n))]
+    prefix_rows = [(f"prefix-{j}", prefix_functional(n, p, j)) for j in range(1, n + 1)]
+    subset_rows: dict = {}
     for gen in base_gens + ha_weights:
         vec = gen.vector()
+        lines = []
         for orbit_name, orbit in orbits:
             if not orbit:
                 continue
-            subset = worst_subset(orbit, gen)
-            row = orbit_subset_functional(orbit, subset, n, p)
-            value = Fraction(linalg.dot(row, vec))
+            subset = tuple(worst_subset(orbit, gen))
+            row = subset_rows.get((orbit_name, subset))
+            if row is None:
+                row = subset_rows[orbit_name, subset] = orbit_subset_functional(orbit, subset, n, p)
+            lines.append((f"orbit-{orbit_name}-worst", row))
+        for label, row in lines + prefix_rows:
+            value = linalg.dot(row, vec)
             checks.append(
                 EnvelopeCheck(
-                    label=f"orbit-{orbit_name}-worst",
+                    label=label,
                     functional=row,
                     generator=gen,
-                    value=value,
-                    ok=value <= 0,
-                )
-            )
-        for j in range(1, n + 1):
-            row = prefix_functional(n, p, j)
-            value = Fraction(linalg.dot(row, vec))
-            checks.append(
-                EnvelopeCheck(
-                    label=f"prefix-{j}",
-                    functional=row,
-                    generator=gen,
-                    value=value,
+                    value=Fraction(value),
                     ok=value <= 0,
                 )
             )
 
-    for j in range(1, n + 1):
-        row = prefix_functional(n, p, j)
+    for j, (_, row) in enumerate(prefix_rows, 1):
         cert = FarkasCertificate(row, base_cone.hform, multipliers=prefix_multipliers(n, p, j))
         checks.append(
             EnvelopeCheck(

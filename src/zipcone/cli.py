@@ -44,6 +44,7 @@ from .weylroot import (
     WeylElem,
     act,
     canonical_elements,
+    root_order,
 )
 
 
@@ -198,7 +199,7 @@ def _cmd_weyl(args) -> int:
 def _cmd_neighbors(args) -> int:
     w = _parse_elem(args.elem, args.n)
     pairs = admissible_pairs(w)
-    roots = sorted(lower_neighbors(w).roots)
+    roots = sorted(lower_neighbors(w).roots, key=root_order)
     sep = is_separating(w)
     payload = {
         "elem": str(w),
@@ -325,13 +326,13 @@ def _cmd_verify_theorem(args) -> int:
         except OSError as exc:
             return _refuse_out(args.out, exc)
     cert = envelope_certificate(args.n, args.p)
-    payload = cert.to_json_dict()
-    if args.path_report:
-        payload["path_report"] = verify_path_lemmas(args.n, args.p).to_json_dict()
+    report = verify_path_lemmas(args.n, args.p).to_json_dict() if args.path_report else None
+    # one text for stdout and --out
+    text = cert.to_json(report) if args.json or args.out else None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write(text)
         except OSError as exc:
             return _refuse_out(args.out, exc)
     ok_checks = sum(1 for c in cert.checks if c.ok)
@@ -340,7 +341,7 @@ def _cmd_verify_theorem(args) -> int:
         f"checks: {ok_checks}/{len(cert.checks)} ok",
         f"verdict: {cert.verdict}",
     ]
-    _emit(payload, args.json, lines)
+    print(text if args.json else "\n".join(lines))
     return 0 if cert.passed else 1
 
 

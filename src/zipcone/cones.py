@@ -331,7 +331,8 @@ class FarkasCertificate:
 
 
 def frac_str(x) -> str:
-    f = Fraction(x)
+    # ints and Fractions already carry their lowest terms
+    f = x if isinstance(x, (int, Fraction)) else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 

@@ -34,6 +34,7 @@ from .weylroot import (
     pairing,
     reflection,
     reflection_swaps,
+    root_order,
 )
 
 
@@ -117,7 +118,7 @@ def solve_chi(w: WeylElem, beta: Root) -> Character:
     absolute value, ties resolved to the nonnegative one.
     """
     n = w.n
-    roots = sorted(lower_neighbors(w).roots)
+    roots = sorted(lower_neighbors(w).roots, key=root_order)
     if beta not in roots:
         raise ValueError(f"{beta} is not a lower-neighbor root of {w}")
     if not is_separating(w):
@@ -334,6 +335,10 @@ class PathReport:
         }
 
 
+def _root_strs(roots) -> tuple[str, ...]:
+    return tuple(str(a) for a in sorted(roots, key=root_order))
+
+
 def verify_path_lemmas(n: int, p: int) -> PathReport:
     """Check every descent-path element: neighbor sets against both closed
     forms and the brute-force oracle, the separating property, the cutting
@@ -358,12 +363,12 @@ def verify_path_lemmas(n: int, p: int) -> PathReport:
                 d=step.d,
                 i=step.i,
                 window=str(step.w),
-                computed_eset=tuple(str(a) for a in sorted(computed)),
-                reference_eset=tuple(str(a) for a in sorted(reference)),
-                verified_eset=tuple(str(a) for a in sorted(verified)),
+                computed_eset=_root_strs(computed),
+                reference_eset=_root_strs(reference),
+                verified_eset=_root_strs(verified),
                 matches_reference=computed == reference,
                 matches_verified=computed == verified,
-                extra_vs_reference=tuple(str(a) for a in sorted(computed - reference)),
+                extra_vs_reference=_root_strs(computed - reference),
                 oracle_agrees=computed == oracle,
                 separating=is_separating(step.w),
                 chi_orthogonal=orthogonal,

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
@@ -251,6 +252,11 @@ class Root:
         except (ValueError, IndexError):
             pass
         raise ValueError(f"cannot parse root {text!r}")
+
+
+# the sort key of the root order: the fields Root's generated comparisons
+# read, taken in C instead of through a Python-level __lt__ per comparison
+root_order = attrgetter("kind", "i", "j")
 
 
 def positive_roots(n: int) -> list[Root]:

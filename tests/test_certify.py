@@ -1,9 +1,15 @@
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zipcone.certify import Certificate, envelope_certificate
+from zipcone.certify import Certificate, EnvelopeCheck, envelope_certificate
 from zipcone.cones import lmin_member
+from zipcone.hasse import verify_path_lemmas
+from zipcone.weylroot import Character
 
 
 def test_envelope_rank1_trivial_pass():
@@ -96,3 +102,78 @@ def test_certificate_path_entries():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_envelope_passes_small_grid(n, p):
     assert envelope_certificate(n, p).passed
+
+
+def reference_json(cert: Certificate, path_report=None) -> str:
+    """The text `to_json` must equal: `json.dumps` over the whole payload."""
+    payload = cert.to_json_dict()
+    if path_report is not None:
+        payload["path_report"] = path_report
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail on the first differing line; a diff of two certificate texts
+    would take minutes."""
+    if got != want:
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        k = next(
+            (k for k, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+            min(len(got_lines), len(want_lines)),
+        )
+        pytest.fail(f"line {k + 1}: {got_lines[k:k + 1]} != {want_lines[k:k + 1]}")
+
+
+def assert_renders_like_reference(cert: Certificate) -> None:
+    text = cert.to_json()
+    assert_same_text(text, reference_json(cert))
+    assert_same_text(Certificate.from_json_dict(json.loads(text)).to_json(), text)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 10), p=st.sampled_from([2, 3, 5, 7, 13]))
+def test_to_json_matches_the_payload_dump(n, p):
+    assert_renders_like_reference(envelope_certificate(n, p))
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (4, 5)])
+def test_to_json_matches_the_payload_dump_with_a_path_report(n, p):
+    cert = envelope_certificate(n, p)
+    report = verify_path_lemmas(n, p).to_json_dict()
+    assert_same_text(cert.to_json(report), reference_json(cert, report))
+
+
+# ledger lines that envelope_certificate never writes
+HAND_BUILT_CHECKS = {
+    "witness": EnvelopeCheck(
+        label="target-from-base",
+        functional=(1, -1, 0),
+        witness=(Fraction(1, 2), Fraction(-3), Fraction(0)),
+    ),
+    "empty multipliers": EnvelopeCheck(label="zero-from-base", functional=(0, 0, 0), multipliers=(), ok=True),
+    "no generator, no value": EnvelopeCheck(label="bare", functional=(1, 2, 0)),
+    "escaped label": EnvelopeCheck(
+        label='quote " backslash \\ tab \t caf\u00e9',
+        functional=(-2, 0, 0),
+        generator=Character((1, -3), 0),
+        value=Fraction(-2),
+        ok=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HAND_BUILT_CHECKS))
+def test_to_json_matches_the_payload_dump_on_hand_built_checks(kind):
+    real = envelope_certificate(2, 3)
+    check = HAND_BUILT_CHECKS[kind]
+    assert_renders_like_reference(replace(real, checks=real.checks[:3] + (check,) + real.checks[3:]))
+    assert_renders_like_reference(replace(real, checks=(check,)))
+
+
+def test_to_json_matches_the_payload_dump_on_a_failed_or_empty_ledger():
+    real = envelope_certificate(2, 3)
+    bad = replace(real.checks[0], value=Fraction(5), ok=False)
+    failed = replace(real, checks=(bad,) + real.checks[1:], verdict="FAIL")
+    assert not failed.passed
+    assert_renders_like_reference(failed)
+    assert_renders_like_reference(replace(real, checks=()))

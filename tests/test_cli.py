@@ -108,6 +108,29 @@ def test_verify_theorem(capsys, tmp_path):
     assert data["verdict"] == "PASS"
     on_disk = json.loads(out_file.read_text())
     assert on_disk == data
+    # stdout and --out are one text; print adds the newline
+    assert out == out_file.read_text() + "\n"
+
+
+def test_verify_theorem_path_report_out_matches_stdout(capsys, tmp_path):
+    out_file = tmp_path / "cert.json"
+    code, out, _ = invoke(
+        capsys, "verify-theorem", "--n", "4", "--p", "3", "--json", "--path-report",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    assert json.loads(out)["path_report"]["all_passed"] is True
+    assert out == out_file.read_text() + "\n"
+
+
+def test_verify_theorem_out_without_json_matches_the_json_text(capsys, tmp_path):
+    out_file = tmp_path / "cert.json"
+    code, out, _ = invoke(capsys, "verify-theorem", "--n", "3", "--p", "5", "--path-report", "--out", str(out_file))
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: PASS"
+    code, json_out, _ = invoke(capsys, "verify-theorem", "--n", "3", "--p", "5", "--path-report", "--json")
+    assert code == 0
+    assert json_out == out_file.read_text() + "\n"
 
 
 def test_path_report(capsys):
@@ -403,6 +426,7 @@ def test_verify_theorem_out_replaces_an_existing_file(capsys, tmp_path):
     code, out, _ = invoke(capsys, "verify-theorem", "--n", "2", "--p", "3", "--json", "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text()) == json.loads(out)
+    assert out == target.read_text() + "\n"
 
 
 SWEEPS_ACROSS_JOBS = [

@@ -14,6 +14,11 @@ The digests of `path` at n = 12 and n = 16 were computed while
 `cones.lmin_member` still summed pairings over `Root` objects and the
 Bareiss elimination still rewrote every row below each pivot.
 
+The digests of `verify-theorem` at n = 12 and n = 16, and of
+`verify-theorem --path-report` at n = 6, were computed while the
+certificate text was still produced by `json.dumps` over the full
+`to_json_dict()` payload (and `--out` by `json.dump` over the same dict).
+
 The digests of the farkas and cone-check verbs were computed while the
 exact linear algebra still ran over Fraction: Fourier-Motzkin on Fraction
 rows, Gauss-Jordan in `solve_square`.  Each digest covers a seeded group of
@@ -70,6 +75,12 @@ VERB_DIGESTS = {
         "ee98c27b4c4d6afec370e1debdf4a0209d6ca4774e4639cf50e4716715751a4a",
     ("path", "--n", "16", "--p", "13", "--json"):
         "acc6483e7d1b63e1b82aba60f6d390a5f11de70c153c6c8dc64445faad205547",
+    ("verify-theorem", "--n", "12", "--p", "5", "--json"):
+        "6f302f8e817d837f5a4f51e777c0ba850857a8e18bc54cee3c2492d2ca806fbe",
+    ("verify-theorem", "--n", "16", "--p", "3", "--json"):
+        "a056cf98b5d9a1d2027fa7241428775a059d8b96c290943d5a13ec913d083750",
+    ("verify-theorem", "--n", "6", "--p", "5", "--json", "--path-report"):
+        "0d5c755302488c89f4bd336ee3c98e1b5bdd26e12cc38463d0d34c841cb9b209",
     ("neighbors", "--elem", "4 6 5 2 1 3", "--json"):
         "72162610a947703a70dcc878bc6b76d5686a96cebec75692022a5e3d38b909ad",
 }

@@ -24,6 +24,7 @@ from zipcone.weylroot import (
     random_element,
     reflection,
     root_image,
+    root_order,
     simple_roots,
     weyl_elements,
     weyl_order,
@@ -58,6 +59,7 @@ def test_root_order_is_family_then_indices(n):
         roots = positive_roots(n) + positive_roots(n)[:n]
         rng.shuffle(roots)
         assert sorted(roots) == sorted(roots, key=_family_key)
+        assert sorted(roots, key=root_order) == sorted(roots)
 
 
 def _defined_vectors(alpha, n):
