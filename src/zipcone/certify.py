@@ -53,7 +53,6 @@ class EnvelopeCheck:
     generator: Optional[Character] = None
     value: Optional[Fraction] = None
     multipliers: Optional[tuple[Fraction, ...]] = None
-    witness: Optional[tuple[Fraction, ...]] = None
     ok: bool = False
 
     def to_json_dict(self) -> dict:
@@ -67,8 +66,6 @@ class EnvelopeCheck:
             out["value"] = frac_str(self.value)
         if self.multipliers is not None:
             out["multipliers"] = [frac_str(m) for m in self.multipliers]
-        if self.witness is not None:
-            out["witness"] = [frac_str(x) for x in self.witness]
         return out
 
 
@@ -143,8 +140,6 @@ class Certificate:
             parts += [',\n      "ok": ', "true" if c.ok else "false"]
             if c.value is not None:
                 parts += [',\n      "value": "', frac_str(c.value), '"']
-            if c.witness is not None:
-                parts += [',\n      "witness": ', _indented([frac_str(x) for x in c.witness], 3)]
             parts.append("\n    }")
             checks.append("".join(parts))
         head = self._head()
@@ -181,9 +176,6 @@ class Certificate:
                     value=Fraction(c["value"]) if "value" in c else None,
                     multipliers=tuple(Fraction(m) for m in c["multipliers"])
                     if "multipliers" in c
-                    else None,
-                    witness=tuple(Fraction(x) for x in c["witness"])
-                    if "witness" in c
                     else None,
                     ok=bool(c["ok"]),
                 )

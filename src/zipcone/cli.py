@@ -34,6 +34,7 @@ from .cones import (
     frac_str,
     lmin_member,
     lmin_prefix_cone,
+    n3_exact_cone,
     pha_w_member,
     pha_wmax_cone,
 )
@@ -55,6 +56,7 @@ MAX_BRUHAT_RANK = 5  # bruhat builds the cover closure of all elements
 MAX_BRUHAT_EXHAUSTIVE_RANK = 4  # without --samples it checks all pairs
 MAX_ENUM_IW_RANK = 16  # enum-iw lists 2^n representatives
 MAX_SAMPLES = 100_000
+MAX_JOBS = 32  # sweep --jobs is the worker-process count of one Pool
 
 
 class UsageError(Exception):
@@ -128,10 +130,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_elem(text: str, n: int | None) -> WeylElem:
-    return WeylElem.parse(text, n)
-
-
 def _parse_char(text: str):
     lam = RatCharacter.parse(text)
     if lam.is_integral():
@@ -174,7 +172,7 @@ def _cmd_weyl(args) -> int:
         }
         lines += [f"w0:   {ce.w0}", f"w0I:  {ce.w0I}", f"wmax: {ce.wmax}", f"z:    {ce.z}"]
     if args.elem:
-        w = _parse_elem(args.elem, args.n)
+        w = WeylElem.parse(args.elem, args.n)
         payload["elem"] = str(w)
         if args.length:
             payload["length"] = w.length()
@@ -197,7 +195,7 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_neighbors(args) -> int:
-    w = _parse_elem(args.elem, args.n)
+    w = WeylElem.parse(args.elem, args.n)
     pairs = admissible_pairs(w)
     roots = sorted(lower_neighbors(w).roots, key=root_order)
     sep = is_separating(w)
@@ -258,7 +256,7 @@ def _cmd_cone_check(args) -> int:
     else:
         if args.p is None or not args.elem:
             raise UsageError("--cone pha requires --p and --elem")
-        w = _parse_elem(args.elem, n)
+        w = WeylElem.parse(args.elem, n)
         res = pha_w_member(lam, w, args.p)
         member = res.member
         extra = {
@@ -293,8 +291,6 @@ def _cmd_farkas(args) -> int:
             raise UsageError("--cone n3 requires --p")
         if n != 3:
             raise UsageError("--cone n3 needs a rank-3 functional")
-        from .cones import n3_exact_cone
-
         cone = n3_exact_cone(args.p)
     cert = farkas_implies(target.vector(), cone)
     payload = {"cone": args.cone, **cert.to_json_dict()}
@@ -363,8 +359,8 @@ def _cmd_enum_iw(args) -> int:
 
 
 def _cmd_bruhat(args) -> int:
-    w1 = _parse_elem(args.elem, None)
-    w2 = _parse_elem(args.elem2, None)
+    w1 = WeylElem.parse(args.elem)
+    w2 = WeylElem.parse(args.elem2)
     payload = {
         "elem": str(w1),
         "elem2": str(w2),
@@ -405,6 +401,8 @@ def _check_sweep_args(args, ranks: list[int]) -> None:
             )
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > MAX_JOBS:
+        raise UsageError(f"--jobs must be at most {MAX_JOBS}, got {args.jobs}")
     if args.samples < 0:
         raise UsageError(f"--samples must be at least 0, got {args.samples}")
     if args.samples > MAX_SAMPLES:

@@ -139,24 +139,25 @@ def worst_subset(orbit: Sequence[Root], lam) -> list[Root]:
 
 
 def lmin_member(lam: AnyCharacter, p: int) -> bool:
-    """Membership in the full orbit-inequality cone, via the worst-subset
-    reduction: per orbit it suffices to test the subset of negative pairings.
+    """Membership in the full orbit-inequality cone, which is the long-orbit
+    cone: the sum orbit's inequalities are implied by the long orbit's.
 
-    The reduction is one line: each root contributes with coefficient 1 or
-    1/p independently, and the larger contribution is 1 on positives and
-    1/p on negatives.  So, cleared by p, each orbit's worst value is the sum
-    of f(t) over its pairings t, with f(t) = t for t < 0 and p * t
-    otherwise.  The pairings are read straight off lam.a: a_i for the long
-    orbit and a_i + a_j (i < j) for the sum orbit, an O(n^2) pair sum that
-    builds no Root.  worst_subset is the root-level reference and
-    lmin_member_enumerated the 2^|orbit| oracle.
+    Worst subset: each root contributes with coefficient 1 or 1/p
+    independently, and the larger contribution is 1 on positives and 1/p on
+    negatives.  So, cleared by p, an orbit's worst value is the sum of f(t)
+    over its pairings t, with f(t) = max(t, p * t): t for t < 0 and p * t
+    otherwise.  The long orbit pairs to a_i, the sum orbit to a_i + a_j
+    (i < j).
+
+    Orbit lemma: f is convex and positively homogeneous, hence subadditive,
+    so  sum_{i<j} f(a_i + a_j) <= sum_{i<j} (f(a_i) + f(a_j))
+    = (n - 1) * sum_i f(a_i).  A character whose long-orbit worst value is
+    <= 0 therefore passes the sum orbit too, and only the long orbit is read.
+    worst_subset is the root-level reference and lmin_member_enumerated the
+    2^|orbit| oracle over both orbits, independent of the lemma.
     """
     _check_p(p)
-    a = lam.a
-    if sum(t if t < 0 else p * t for t in a) > 0:
-        return False
-    pair_sums = (x + y for i, x in enumerate(a) for y in a[i + 1:])
-    return sum(t if t < 0 else p * t for t in pair_sums) <= 0
+    return sum(t if t < 0 else p * t for t in lam.a) <= 0
 
 
 # subset enumeration visits 2^(n(n-1)/2) sum-orbit subsets: 0.03 s per

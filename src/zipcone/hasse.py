@@ -167,10 +167,6 @@ class PathStep:
     chi: Character
     ha: Character
 
-    @property
-    def index(self) -> tuple[int, int]:
-        return (self.d, self.i)
-
 
 def descent_path(n: int, p: int) -> list[PathStep]:
     """The length-decreasing walk from the longest element to the top minimal

@@ -145,11 +145,6 @@ def test_to_json_matches_the_payload_dump_with_a_path_report(n, p):
 
 # ledger lines that envelope_certificate never writes
 HAND_BUILT_CHECKS = {
-    "witness": EnvelopeCheck(
-        label="target-from-base",
-        functional=(1, -1, 0),
-        witness=(Fraction(1, 2), Fraction(-3), Fraction(0)),
-    ),
     "empty multipliers": EnvelopeCheck(label="zero-from-base", functional=(0, 0, 0), multipliers=(), ok=True),
     "no generator, no value": EnvelopeCheck(label="bare", functional=(1, 2, 0)),
     "escaped label": EnvelopeCheck(

@@ -357,6 +357,22 @@ def test_sweep_refuses_samples_above_limit(capsys):
     )
 
 
+def test_sweep_refuses_jobs_above_limit_before_any_pool(capsys, monkeypatch):
+    import multiprocessing
+
+    from zipcone.cli import MAX_JOBS
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a refused --jobs must start no worker pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert_refused(
+        capsys,
+        ["sweep", "--suite", "gamma", "--n", "6", "--jobs", str(MAX_JOBS + 1)],
+        f"--jobs must be at most {MAX_JOBS}, got {MAX_JOBS + 1}",
+    )
+
+
 def test_limits_accept_benchmark_and_readme_inputs():
     from zipcone.cli import _build_parser, _check_sweep_args, _int_list
 

@@ -99,6 +99,20 @@ def test_lmin_member_matches_row_form(lam, p):
     assert lmin_member(lam, p) == _lmin_member_by_rows(lam, p)
 
 
+def _orbit_worst_value(orbit, lam, p):
+    """An orbit's worst value at lam, cleared by p, read at root level."""
+    return dot(orbit_subset_functional(orbit, worst_subset(orbit, lam), lam.n, p), lam.vector())
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=rat_characters(), p=st.sampled_from([2, 3, 5, 7]))
+def test_sum_orbit_worst_is_bounded_by_long_orbit_worst(lam, p):
+    # the orbit lemma behind lmin_member: f(t) = max(t, p*t) is subadditive
+    n = lam.n
+    long_worst = _orbit_worst_value(long_orbit(n), lam, p)
+    assert _orbit_worst_value(sum_orbit(n), lam, p) <= (n - 1) * long_worst
+
+
 def test_lmin_member_builds_no_roots(monkeypatch):
     built = []
     original = Root.__post_init__
