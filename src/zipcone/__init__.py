@@ -18,9 +18,7 @@ from .weylroot import (
     act,
     canonical_elements,
     compose,
-    inverse,
     is_I_dominant,
-    length,
     levi_positive_roots,
     non_levi_positive_roots,
     pairing,

@@ -28,15 +28,14 @@ from .cones import farkas_implies  # noqa: F401
 from .cones import (
     FarkasCertificate,
     IntRow,
-    orbit_subset_functional,
+    orbit_worst_rows,
     pha_wmax_cone,
     prefix_functional,
     prefix_multipliers,
-    worst_subset,
     frac_str,
 )
-from .hasse import PathStep, compare_step_weights, descent_path, ha_closed_form
-from .weylroot import Character, Root, WeylElem, long_orbit, sum_orbit
+from .hasse import PathStep, descent_path
+from .weylroot import Character, Root, WeylElem
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,8 @@ class EnvelopeCheck:
     label: str
     functional: IntRow
     generator: Optional[Character] = None
-    value: Optional[Fraction] = None
-    multipliers: Optional[tuple[Fraction, ...]] = None
+    value: Optional[int | Fraction] = None
+    multipliers: Optional[tuple[int | Fraction, ...]] = None
     ok: bool = False
 
     def to_json_dict(self) -> dict:
@@ -98,10 +97,8 @@ class Certificate:
                     "beta": str(s.beta),
                     "chi": str(s.chi),
                     "ha": str(s.ha),
-                    "ha_closed_form": str(ha_closed_form(self.n, self.p, s.d, s.i)),
-                    "first_term_relation": compare_step_weights(
-                        self.n, self.p, s.d, s.i, s.ha
-                    ),
+                    "ha_closed_form": str(s.ha_closed_form),
+                    "first_term_relation": s.first_term_relation,
                 }
                 for s in self.path
             ],
@@ -161,6 +158,8 @@ class Certificate:
                 beta=Root.parse(s["beta"]),
                 chi=Character.parse(s["chi"]),
                 ha=Character.parse(s["ha"]),
+                ha_closed_form=Character.parse(s["ha_closed_form"]),
+                first_term_relation=s["first_term_relation"],
             )
             for s in data["path"]
         )
@@ -219,9 +218,10 @@ def envelope_certificate(n: int, p: int) -> Certificate:
     Generators: the base cone's generators plus the computed step weights.
     For each generator, each orbit contributes its binding subset functional
     (the subset of negative pairings; every other subset functional is
-    dominated by it), and every prefix functional is evaluated as well.
-    The prefix functionals are also written as nonnegative combinations of
-    the base inequalities {a_i <= 0}, with closed-form, self-verifying
+    dominated by it), read off the generator's entries by orbit_worst_rows,
+    and every prefix functional is evaluated as well.  The prefix
+    functionals are also written as nonnegative combinations of the base
+    inequalities {a_i <= 0}, with closed-form, self-verifying integer
     multipliers.
     """
     if n < 1:
@@ -234,30 +234,14 @@ def envelope_certificate(n: int, p: int) -> Certificate:
     ha_weights = tuple(s.ha for s in steps)
 
     checks: list[EnvelopeCheck] = []
-    orbits = [("long", long_orbit(n)), ("sum", sum_orbit(n))]
     prefix_rows = [(f"prefix-{j}", prefix_functional(n, p, j)) for j in range(1, n + 1)]
-    subset_rows: dict = {}
     for gen in base_gens + ha_weights:
         vec = gen.vector()
-        lines = []
-        for orbit_name, orbit in orbits:
-            if not orbit:
-                continue
-            subset = tuple(worst_subset(orbit, gen))
-            row = subset_rows.get((orbit_name, subset))
-            if row is None:
-                row = subset_rows[orbit_name, subset] = orbit_subset_functional(orbit, subset, n, p)
-            lines.append((f"orbit-{orbit_name}-worst", row))
-        for label, row in lines + prefix_rows:
+        orbit_rows = list(zip(("orbit-long-worst", "orbit-sum-worst"), orbit_worst_rows(gen.a, p)))
+        for label, row in orbit_rows + prefix_rows:
             value = linalg.dot(row, vec)
             checks.append(
-                EnvelopeCheck(
-                    label=label,
-                    functional=row,
-                    generator=gen,
-                    value=Fraction(value),
-                    ok=value <= 0,
-                )
+                EnvelopeCheck(label=label, functional=row, generator=gen, value=value, ok=value <= 0)
             )
 
     for j, (_, row) in enumerate(prefix_rows, 1):

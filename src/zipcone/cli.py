@@ -149,6 +149,22 @@ def _int_list(text: str) -> list[int]:
         raise UsageError(f"expected an integer or comma list, got {text!r}")
 
 
+def _require_p(args) -> int:
+    if args.p is None:
+        raise UsageError(f"--cone {args.cone} requires --p")
+    return args.p
+
+
+def _named_cone(args, n: int):
+    """The rank-n cone that `--cone` names, for the names that cone-check and
+    farkas share: gs, lmin-i and pha-wmax."""
+    if args.cone == "gs":
+        return cone_GS(n)
+    if args.cone == "lmin-i":
+        return lmin_prefix_cone(n, _require_p(args))
+    return pha_wmax_cone(n)
+
+
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -241,19 +257,9 @@ def _cmd_cone_check(args) -> int:
     if args.p is not None and args.p < 2:
         raise UsageError("p must be at least 2")
     extra: dict = {}
-    if args.cone == "gs":
-        member = cone_GS(n).member(lam)
-    elif args.cone == "lmin":
-        if args.p is None:
-            raise UsageError("--cone lmin requires --p")
-        member = lmin_member(lam, args.p)
-    elif args.cone == "lmin-i":
-        if args.p is None:
-            raise UsageError("--cone lmin-i requires --p")
-        member = lmin_prefix_cone(n, args.p).member(lam)
-    elif args.cone == "pha-wmax":
-        member = pha_wmax_cone(n).member(lam)
-    else:
+    if args.cone == "lmin":
+        member = lmin_member(lam, _require_p(args))
+    elif args.cone == "pha":
         if args.p is None or not args.elem:
             raise UsageError("--cone pha requires --p and --elem")
         w = WeylElem.parse(args.elem, n)
@@ -264,6 +270,8 @@ def _cmd_cone_check(args) -> int:
             "chi_integral": res.chi_integral,
             "chi_parity_ok": res.chi_parity_ok,
         }
+    else:
+        member = _named_cone(args, n).member(lam)
     payload = {"cone": args.cone, "lambda": str(lam), "member": member, **extra}
     lines = [f"member: {str(member).lower()}"]
     for key, val in extra.items():
@@ -278,20 +286,13 @@ def _cmd_farkas(args) -> int:
         raise UsageError("target functional must have integer coefficients")
     _check_rank_flag(args.n, target, "--target")
     n = target.n
-    if args.cone == "gs":
-        cone = cone_GS(n)
-    elif args.cone == "lmin-i":
-        if args.p is None:
-            raise UsageError("--cone lmin-i requires --p")
-        cone = lmin_prefix_cone(n, args.p)
-    elif args.cone == "pha-wmax":
-        cone = pha_wmax_cone(n)
-    else:
-        if args.p is None:
-            raise UsageError("--cone n3 requires --p")
+    if args.cone == "n3":
+        p = _require_p(args)
         if n != 3:
             raise UsageError("--cone n3 needs a rank-3 functional")
-        cone = n3_exact_cone(args.p)
+        cone = n3_exact_cone(p)
+    else:
+        cone = _named_cone(args, n)
     cert = farkas_implies(target.vector(), cone)
     payload = {"cone": args.cone, **cert.to_json_dict()}
     if cert.implied:

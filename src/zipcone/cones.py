@@ -138,6 +138,31 @@ def worst_subset(orbit: Sequence[Root], lam) -> list[Root]:
     return [alpha for alpha in orbit if pairing(lam, alpha) < 0]
 
 
+def orbit_worst_rows(a: Sequence[int], p: int) -> list[IntRow]:
+    """The worst-subset functionals of the long orbit and, from rank 2, of
+    the sum orbit at a character with entries a, read off the entries.
+
+    Each root of an orbit takes coefficient 1 when it pairs negatively with
+    a and p otherwise, as orbit_subset_functional(orbit, worst_subset(orbit,
+    a), n, p) does root by root.  The long root 2e_k pairs to a_k and has
+    coroot e_k, so the long row's coefficient on a_k is 1 if a_k < 0 else
+    p; dotted with a it is the long-orbit sum that lmin_member tests.  The
+    sum root e_k + e_j pairs to a_k + a_j and has coroot e_k + e_j, so the
+    sum row's coefficient on a_k is the sum over j != k of
+    (1 if a_k + a_j < 0 else p).
+    """
+    rows = [tuple(1 if x < 0 else p for x in a) + (0,)]
+    if len(a) > 1:
+        rows.append(
+            tuple(
+                sum(1 if x + y < 0 else p for j, y in enumerate(a) if j != k)
+                for k, x in enumerate(a)
+            )
+            + (0,)
+        )
+    return rows
+
+
 def lmin_member(lam: AnyCharacter, p: int) -> bool:
     """Membership in the full orbit-inequality cone, which is the long-orbit
     cone: the sum orbit's inequalities are implied by the long orbit's.
@@ -182,34 +207,29 @@ def lmin_member_enumerated(lam: AnyCharacter, p: int) -> bool:
     return True
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def coroot_form_multipliers(alpha: Root, n: int) -> tuple[Fraction, ...]:
+def coroot_form_multipliers(alpha: Root, n: int) -> tuple[int, ...]:
     """Multipliers writing the coroot functional of a root outside the Levi
     over the rows {a_i <= 0} of pha_wmax_cone: the coroot coefficients
     themselves (row i plus row j for e_i+e_j, row i for 2e_i)."""
-    mults = [_ZERO] * n
+    mults = [0] * n
     for k, c in alpha.coroot:
-        mults[k] = Fraction(c)
+        mults[k] = c
     return tuple(mults)
 
 
-def coordinate_form_multipliers(i: int, roots: Sequence[Root]) -> tuple[Fraction, ...]:
+def coordinate_form_multipliers(i: int, roots: Sequence[Root]) -> tuple[int, ...]:
     """Multipliers writing a_i <= 0 over the coroot rows of `roots`: the
     coroot row of 2e_i (the root whose coroot is e_i) with multiplier 1,
     every other multiplier 0."""
     e_i = ((i - 1, 1),)
-    return tuple(_ONE if alpha.coroot == e_i else _ZERO for alpha in roots)
+    return tuple(1 if alpha.coroot == e_i else 0 for alpha in roots)
 
 
-def prefix_multipliers(n: int, p: int, j: int) -> tuple[Fraction, ...]:
+def prefix_multipliers(n: int, p: int, j: int) -> tuple[int, ...]:
     """Multipliers writing prefix_functional(n, p, j) over the rows
     {a_i <= 0} of pha_wmax_cone: p on rows <= j and 1 on rows > j.  The rows
     are linearly independent, so these are the only multipliers."""
-    fp = Fraction(p)
-    return tuple(fp if i <= j else _ONE for i in range(1, n + 1))
+    return tuple(p if i <= j else 1 for i in range(1, n + 1))
 
 
 def pha_wmax_cone(n: int) -> Cone:
@@ -272,7 +292,7 @@ class FarkasCertificate:
 
     target: IntRow
     system: tuple[IntRow, ...]
-    multipliers: Optional[tuple[Fraction, ...]] = None
+    multipliers: Optional[tuple[int | Fraction, ...]] = None
     witness: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
@@ -361,7 +381,7 @@ class PhaMembership:
     chi_parity_ok: bool
 
 
-def pha_w_member(lam: AnyCharacter, w: WeylElem, p: int, hasse_matrix=None) -> PhaMembership:
+def pha_w_member(lam: AnyCharacter, w: WeylElem, p: int) -> PhaMembership:
     """Invert the weight map exactly and test dominance against E_w.
 
     The saturated cone is h_w(X^*_{+,w}); membership of lam amounts to the
@@ -373,8 +393,7 @@ def pha_w_member(lam: AnyCharacter, w: WeylElem, p: int, hasse_matrix=None) -> P
     from .hasse import hasse_map
 
     _check_p(p)
-    hm = hasse_map(w, p) if hasse_matrix is None else hasse_matrix
-    chi = hm.inverse_apply(lam)
+    chi = hasse_map(w, p).inverse_apply(lam)
     ok = all(pairing(chi, alpha) >= 0 for alpha in lower_neighbors(w).roots)
     integral = chi.is_integral()
     parity = integral and chi.to_integral().satisfies_parity

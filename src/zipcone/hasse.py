@@ -157,8 +157,10 @@ def anchor_element(n: int, d: int) -> WeylElem:
 @dataclass(frozen=True)
 class PathStep:
     """One step of the descent path: the element w = tau_d^(i), the step root
-    beta = e_{i+1} - e_{d+1}, the cutting character chi = e_{i+1}, and the
-    weight ha of the corresponding partial Hasse invariant (computed value)."""
+    beta = e_{i+1} - e_{d+1}, the cutting character chi = e_{i+1}, the
+    weight ha of the corresponding partial Hasse invariant (computed value),
+    and its closed-form reference: ha_closed_form(n, p, d, i) and the
+    relation compare_step_weights reports between the two."""
 
     d: int
     i: int
@@ -166,6 +168,8 @@ class PathStep:
     beta: Root
     chi: Character
     ha: Character
+    ha_closed_form: Character
+    first_term_relation: str
 
 
 def descent_path(n: int, p: int) -> list[PathStep]:
@@ -187,7 +191,9 @@ def descent_path(n: int, p: int) -> list[PathStep]:
             beta = Root.diff(i + 1, d + 1)
             chi = Character.unit(n, i + 1)
             ha = (-1 * act(w, chi)) + p * act(wmax, chi)
-            steps.append(PathStep(d, i, w, beta, chi, ha))
+            closed = ha_closed_form(n, p, d, i)
+            relation = compare_step_weights(n, p, d, i, ha)
+            steps.append(PathStep(d, i, w, beta, chi, ha, closed, relation))
             if kernels.length_change(w.window, reflection_swaps(n)[beta]) != -1:
                 raise AssertionError(f"length must drop by one at ({d}, {i})")
             w = compose(w, reflection(beta, n))
@@ -352,8 +358,6 @@ def verify_path_lemmas(n: int, p: int) -> PathReport:
             and pairing(step.chi, step.beta) == 1
             and all(pairing(step.chi, a) == 0 for a in others)
         )
-        closed = ha_closed_form(n, p, step.d, step.i)
-        relation = compare_step_weights(n, p, step.d, step.i, step.ha)
         reports.append(
             StepReport(
                 d=step.d,
@@ -369,11 +373,11 @@ def verify_path_lemmas(n: int, p: int) -> PathReport:
                 separating=is_separating(step.w),
                 chi_orthogonal=orthogonal,
                 pipeline_weight=str(step.ha),
-                closed_form_weight=str(closed),
-                first_term_relation=relation,
-                second_term_agrees=relation in ("equal", "first_index_shift"),
+                closed_form_weight=str(step.ha_closed_form),
+                first_term_relation=step.first_term_relation,
+                second_term_agrees=step.first_term_relation in ("equal", "first_index_shift"),
                 pipeline_in_lmin=lmin_member(step.ha, p),
-                closed_form_in_lmin=lmin_member(closed, p),
+                closed_form_in_lmin=lmin_member(step.ha_closed_form, p),
             )
         )
     return PathReport(n, p, tuple(reports))

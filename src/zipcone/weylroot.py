@@ -360,17 +360,11 @@ class WeylElem:
             raise ValueError(f"position {i} out of range")
         return self.window[i - 1]
 
-    def __mul__(self, other: "WeylElem") -> "WeylElem":
-        return compose(self, other)
-
     def inverse(self) -> "WeylElem":
         return WeylElem._trusted(kernels.invert(self.window))
 
     def length(self) -> int:
         return kernels.length(self.window)
-
-    def act(self, lam: AnyCharacter) -> AnyCharacter:
-        return act(self, lam)
 
     @classmethod
     def identity(cls, n: int) -> "WeylElem":
@@ -387,11 +381,6 @@ class WeylElem:
         first = tuple(range(n, 0, -1))
         second = tuple(range(2 * n, n, -1))
         return cls(first + second)
-
-    @classmethod
-    def max_coset_rep(cls, n: int) -> "WeylElem":
-        """The longest minimal coset representative: (n+1, ..., 2n, 1, ..., n)."""
-        return cls(tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1)))
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "WeylElem":
@@ -416,14 +405,6 @@ def compose(u: WeylElem, v: WeylElem) -> WeylElem:
     """(u*v)(i) = u(v(i)); the right factor acts first."""
     _check_ranks(u, v)
     return WeylElem._trusted(kernels.compose(u.window, v.window))
-
-
-def inverse(w: WeylElem) -> WeylElem:
-    return w.inverse()
-
-
-def length(w: WeylElem) -> int:
-    return w.length()
 
 
 class CanonicalElements(tuple):

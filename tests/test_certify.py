@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zipcone import cones, hasse, weylroot
 from zipcone.certify import Certificate, EnvelopeCheck, envelope_certificate
 from zipcone.cones import lmin_member
-from zipcone.hasse import verify_path_lemmas
+from zipcone.hasse import descent_path, verify_path_lemmas
 from zipcone.weylroot import Character
 
 
@@ -96,6 +99,52 @@ def test_certificate_path_entries():
     assert first["ha"] == "1,0,-5|0"
     assert first["ha_closed_form"] == "0,1,-5|0"
     assert first["first_term_relation"] == "first_index_shift"
+
+
+def test_loader_keeps_the_files_step_closed_forms():
+    text = envelope_certificate(4, 5).to_json()
+    data = json.loads(text)
+    data["path"][2]["first_term_relation"] = "other"
+    data["path"][2]["ha_closed_form"] = "9,-9,9,-9|0"
+    edited = json.dumps(data, indent=2, sort_keys=True)
+    assert edited != text
+    assert Certificate.from_json_dict(json.loads(edited)).to_json() == edited
+
+
+def count_calls(monkeypatch, *funcs) -> Counter:
+    """Replace every copy of each function that a zipcone module holds with a
+    wrapper counting its calls by name."""
+    calls: Counter = Counter()
+    for func in funcs:
+        def counting(*args, _func=func, **kwargs):
+            calls[_func.__name__] += 1
+            return _func(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "zipcone" or name.startswith("zipcone."):
+                for attr, value in list(vars(module).items()):
+                    if value is func:
+                        monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_envelope_build_pairs_no_roots(monkeypatch):
+    calls = count_calls(
+        monkeypatch, weylroot.pairing, cones.worst_subset, cones.orbit_subset_functional
+    )
+    envelope_certificate(8, 5)
+    assert calls == Counter()
+    verify_path_lemmas(3, 5)  # the wrappers are live: this pairs chi with E_w
+    assert calls["pairing"] > 0
+
+
+def test_certificate_text_reads_the_steps_closed_forms(monkeypatch):
+    cert = envelope_certificate(8, 5)
+    calls = count_calls(monkeypatch, hasse.ha_closed_form, hasse.compare_step_weights)
+    cert.to_json()
+    assert calls == Counter()
+    descent_path(3, 5)  # the wrappers are live: the path computes both
+    assert calls["ha_closed_form"] > 0 and calls["compare_step_weights"] > 0
 
 
 @pytest.mark.parametrize("p", [2, 3])

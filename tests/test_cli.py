@@ -241,6 +241,25 @@ def assert_refused(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cone-check", "--cone", "lmin", "--lambda", "1,0|0"], "--cone lmin requires --p"),
+        (["cone-check", "--cone", "lmin-i", "--lambda", "1,0|0"], "--cone lmin-i requires --p"),
+        (
+            ["cone-check", "--cone", "pha", "--elem", "4 3 2 1", "--lambda", "1,0|0"],
+            "--cone pha requires --p and --elem",
+        ),
+        (["farkas", "--cone", "lmin-i", "--target", "1,0|0"], "--cone lmin-i requires --p"),
+        (["farkas", "--cone", "n3", "--target", "1,0,0|0"], "--cone n3 requires --p"),
+    ],
+)
+def test_cones_that_need_p_refuse_without_it(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: {message}"
+
+
 def test_sweep_refuses_rank_below_one(capsys):
     for suite, ranks, bad in (("gamma", "0", "0"), ("bruhat", "2,-1", "-1")):
         assert_refused(

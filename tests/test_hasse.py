@@ -214,6 +214,9 @@ def test_first_index_shift_everywhere(n):
             rel = compare_step_weights(n, p, step.d, step.i, step.ha)
             assert rel == "first_index_shift"
             assert step.ha.a[n - step.i - 1] == -p
+            # the closed forms the path carries are the ones computed here
+            assert step.first_term_relation == rel
+            assert step.ha_closed_form == ha_closed_form(n, p, step.d, step.i)
 
 
 def test_chi_orthogonality_on_computed_esets():
