@@ -49,6 +49,7 @@ from .hasse import (
     PathStep,
     StepReport,
     anchor_element,
+    check_path_steps,
     chi_is_valid,
     descent_path,
     ha_closed_form,

@@ -141,23 +141,22 @@ def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:
     so w * s_alpha is covered by w exactly when l(w * s_alpha) = l(w) - 1.
     Still brute force over all n^2 positive roots, with no shortcut from the
     admissible-pair theory, so it stays independent of `lower_neighbors`.
-    It works on the raw window: each length change is counted in O(n) from
-    the positions the reflection swaps, without building w * s_alpha.
+    It works on the raw window: one `kernels.length_changes` pass builds the
+    window's prefix value masks in O(n) and reads each root's length change
+    off them in O(1) word operations, O(n^2) in all, without building
+    w * s_alpha.
     """
-    win = w.window
-    length_change = kernels.length_change
-    roots = [
-        alpha
-        for alpha, swaps in reflection_swaps(w.n).items()
-        if length_change(win, swaps) == -1
-    ]
-    return NeighborSet(w, frozenset(roots))
+    table = reflection_swaps(w.n)
+    changes = kernels.length_changes(w.window, table.values())
+    return NeighborSet(w, frozenset([alpha for alpha, d in zip(table, changes) if d == -1]))
 
 
-def is_separating(w: WeylElem) -> bool:
-    """Whether the coroot functionals of E_w are linearly independent over Q."""
-    roots = sorted(lower_neighbors(w).roots, key=root_order)
-    rows = [alpha.coroot_row(w.n) for alpha in roots]
+def is_separating(neighbors: NeighborSet) -> bool:
+    """Whether the coroot functionals of E_w are linearly independent over
+    Q; takes the `NeighborSet` the caller already holds, so E_w is not
+    computed twice."""
+    n = neighbors.owner.n
+    rows = [alpha.coroot_row(n) for alpha in sorted(neighbors.roots, key=root_order)]
     return linalg.rank(rows) == len(rows)
 
 

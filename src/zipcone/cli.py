@@ -38,7 +38,7 @@ from .cones import (
     pha_w_member,
     pha_wmax_cone,
 )
-from .hasse import verify_path_lemmas
+from .hasse import check_path_steps, verify_path_lemmas
 from .sweeps import bruhat_suite, gamma_suite, lmin_oracle_suite, redundancy_suite
 from .weylroot import (
     RatCharacter,
@@ -57,6 +57,9 @@ MAX_BRUHAT_EXHAUSTIVE_RANK = 4  # without --samples it checks all pairs
 MAX_ENUM_IW_RANK = 16  # enum-iw lists 2^n representatives
 MAX_SAMPLES = 100_000
 MAX_JOBS = 32  # sweep --jobs is the worker-process count of one Pool
+# path grows polynomially, not exponentially: its limit is the largest rank
+# whose time is measured (README limits table)
+MAX_PATH_RANK = 64
 
 
 class UsageError(Exception):
@@ -213,8 +216,9 @@ def _cmd_weyl(args) -> int:
 def _cmd_neighbors(args) -> int:
     w = WeylElem.parse(args.elem, args.n)
     pairs = admissible_pairs(w)
-    roots = sorted(lower_neighbors(w).roots, key=root_order)
-    sep = is_separating(w)
+    neighbors = lower_neighbors(w)
+    roots = sorted(neighbors.roots, key=root_order)
+    sep = is_separating(neighbors)
     payload = {
         "elem": str(w),
         "length": w.length(),
@@ -233,6 +237,8 @@ def _cmd_neighbors(args) -> int:
 
 
 def _cmd_path(args) -> int:
+    if args.n > MAX_PATH_RANK:
+        raise UsageError(f"--n must be at most {MAX_PATH_RANK}, got {args.n}")
     report = verify_path_lemmas(args.n, args.p)
     payload = report.to_json_dict()
     lines = []
@@ -323,7 +329,8 @@ def _cmd_verify_theorem(args) -> int:
         except OSError as exc:
             return _refuse_out(args.out, exc)
     cert = envelope_certificate(args.n, args.p)
-    report = verify_path_lemmas(args.n, args.p).to_json_dict() if args.path_report else None
+    # the report checks the certificate's own path instead of walking it again
+    report = check_path_steps(cert.n, cert.p, cert.path).to_json_dict() if args.path_report else None
     # one text for stdout and --out
     text = cert.to_json(report) if args.json or args.out else None
     if args.out:

@@ -118,10 +118,11 @@ def solve_chi(w: WeylElem, beta: Root) -> Character:
     absolute value, ties resolved to the nonnegative one.
     """
     n = w.n
-    roots = sorted(lower_neighbors(w).roots, key=root_order)
+    neighbors = lower_neighbors(w)
+    roots = sorted(neighbors.roots, key=root_order)
     if beta not in roots:
         raise ValueError(f"{beta} is not a lower-neighbor root of {w}")
-    if not is_separating(w):
+    if not is_separating(neighbors):
         raise ValueError(f"{w} admits no separating system")
     rows = [alpha.coroot_row(n) for alpha in roots]
     target = [Fraction(1) if alpha == beta else Fraction(0) for alpha in roots]
@@ -342,13 +343,21 @@ def _root_strs(roots) -> tuple[str, ...]:
 
 
 def verify_path_lemmas(n: int, p: int) -> PathReport:
-    """Check every descent-path element: neighbor sets against both closed
-    forms and the brute-force oracle, the separating property, the cutting
+    """Check every element of the rank-n descent path for p; see
+    `check_path_steps`."""
+    return check_path_steps(n, p, descent_path(n, p))
+
+
+def check_path_steps(n: int, p: int, steps) -> PathReport:
+    """Check every step of a descent path, as `descent_path(n, p)` or a
+    certificate's `path` gives it: neighbor sets against both closed forms
+    and the brute-force oracle, the separating property, the cutting
     character's orthogonality, and both weight variants' membership in the
     orbit-inequality cone.  Failures become report entries, not exceptions."""
     reports = []
-    for step in descent_path(n, p):
-        computed = lower_neighbors(step.w).roots
+    for step in steps:
+        neighbors = lower_neighbors(step.w)
+        computed = neighbors.roots
         oracle = lower_neighbors_oracle(step.w).roots
         reference = eset_reference(n, step.d, step.i)
         verified = eset_verified(n, step.d, step.i)
@@ -370,7 +379,7 @@ def verify_path_lemmas(n: int, p: int) -> PathReport:
                 matches_verified=computed == verified,
                 extra_vs_reference=_root_strs(computed - reference),
                 oracle_agrees=computed == oracle,
-                separating=is_separating(step.w),
+                separating=is_separating(neighbors),
                 chi_orthogonal=orthogonal,
                 pipeline_weight=str(step.ha),
                 closed_form_weight=str(step.ha_closed_form),

@@ -5,6 +5,11 @@ A window is the image tuple (w(1), ..., w(2n)) of a permutation of
 plain tuples and trust their input; `weylroot.WeylElem` validates windows
 where they enter.  This is the only backend; `BACKEND` names it for the
 JSON of `weyl --json` and for benchmark records.
+
+The brute-force neighbor oracle needs l(w*s) - l(w) for every positive
+root: `length_changes` gives all n^2 of them in O(n^2) per window from one
+pass of prefix value masks, while `length_change` counts one in O(n) and
+serves single steps and as the reference for the batch kernel.
 """
 
 from __future__ import annotations
@@ -85,6 +90,56 @@ def length_change(w, swaps):
         w[a - 1] = y
         w[b - 1] = x
     return delta // 2
+
+
+def length_changes(w, swaps_list):
+    """[length_change(w, s) for s in swaps_list] for reflections s of one or
+    two swaps, the two on four distinct positions as in
+    `weylroot.reflection_swaps`; O(n) once plus O(1) word operations per
+    reflection, so O(n^2) over all positive roots.
+
+    The count c of `length_change` for a swap (a, b) is read off prefix
+    value masks: P[k] has bit v set for each value v = w(i), i <= k, so
+    P[b] ^ P[a] holds the values at positions a+1..b, and
+    (1 << hi) - (2 << lo) keeps those strictly between lo and hi, which
+    drops w(b).  A second swap (c, d) sees the window after the first one:
+    if exactly one of the first swap's positions lies strictly between c and
+    d, that position's value changed from w(a) to w(b) or back, so both bits
+    flip; if both do, the set of values between is unchanged.
+    """
+    n = len(w) // 2
+    win = (0, *w)  # 1-based: win[k] = w(k)
+    prefix = [0]
+    seen = 0
+    for v in w:
+        seen |= 1 << v
+        prefix.append(seen)
+    out = []
+    for swaps in swaps_list:
+        a, b = swaps[0]
+        x = win[a]
+        y = win[b]
+        if x < y:
+            delta = 1 + 2 * ((prefix[b] ^ prefix[a]) & ((1 << y) - (2 << x))).bit_count()
+        else:
+            delta = -1 - 2 * ((prefix[b] ^ prefix[a]) & ((1 << x) - (2 << y))).bit_count()
+        if a <= n < b:
+            delta += (y > n) - (x > n)
+        if len(swaps) == 2:
+            c, d = swaps[1]
+            u = win[c]
+            v = win[d]
+            between = prefix[d] ^ prefix[c]
+            if (c < a < d) != (c < b < d):
+                between ^= (1 << x) | (1 << y)
+            if u < v:
+                delta += 1 + 2 * (between & ((1 << v) - (2 << u))).bit_count()
+            else:
+                delta -= 1 + 2 * (between & ((1 << u) - (2 << v))).bit_count()
+            if c <= n < d:
+                delta += (v > n) - (u > n)
+        out.append(delta // 2)
+    return out
 
 
 def bruhat_leq(w1, w2):

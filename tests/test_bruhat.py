@@ -195,17 +195,17 @@ def test_covers_drop_length_by_exactly_one(n):
 
 
 def test_is_separating_examples():
-    assert is_separating(WeylElem.identity(3))
-    assert is_separating(WeylElem.parse("4 3 2 1"))
+    assert is_separating(lower_neighbors(WeylElem.identity(3)))
+    assert is_separating(lower_neighbors(WeylElem.parse("4 3 2 1")))
 
 
 def test_non_separating_elements_exist():
     # any element with more lower neighbors than the rank is dependent
     found = False
     for w in weyl_elements(3):
-        roots = lower_neighbors(w).roots
-        if len(roots) > 3:
-            assert not is_separating(w)
+        neighbors = lower_neighbors(w)
+        if len(neighbors.roots) > 3:
+            assert not is_separating(neighbors)
             found = True
     assert found
 

@@ -392,6 +392,38 @@ def test_sweep_refuses_jobs_above_limit_before_any_pool(capsys, monkeypatch):
     )
 
 
+def test_path_refuses_rank_above_limit_before_any_check(capsys, monkeypatch):
+    import zipcone.cli
+    from zipcone.cli import MAX_PATH_RANK
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a refused --n must check no path")
+
+    monkeypatch.setattr(zipcone.cli, "verify_path_lemmas", no_check)
+    assert_refused(
+        capsys,
+        ["path", "--n", str(MAX_PATH_RANK + 1), "--p", "5"],
+        f"--n must be at most {MAX_PATH_RANK}, got {MAX_PATH_RANK + 1}",
+    )
+
+
+def test_path_report_reuses_the_certificate_path(capsys, monkeypatch):
+    import zipcone.cli
+    from zipcone.hasse import verify_path_lemmas
+
+    code, expected, _ = invoke(capsys, "verify-theorem", "--n", "4", "--p", "5", "--json", "--path-report")
+    assert code == 0
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("--path-report must check the certificate's own path")
+
+    monkeypatch.setattr(zipcone.cli, "verify_path_lemmas", no_walk)
+    code, out, _ = invoke(capsys, "verify-theorem", "--n", "4", "--p", "5", "--json", "--path-report")
+    assert code == 0 and out == expected
+    walked = json.dumps(verify_path_lemmas(4, 5).to_json_dict())
+    assert json.loads(out)["path_report"] == json.loads(walked)
+
+
 def test_limits_accept_benchmark_and_readme_inputs():
     from zipcone.cli import _build_parser, _check_sweep_args, _int_list
 

@@ -184,7 +184,7 @@ def test_descent_path_step_count(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_descent_path_separating(n):
     for step in descent_path(n, 2):
-        assert is_separating(step.w)
+        assert is_separating(lower_neighbors(step.w))
 
 
 def test_ha_closed_form_examples():

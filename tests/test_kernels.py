@@ -51,6 +51,39 @@ def test_length_change_matches_length_sampled(n, seed):
     assert_length_change_matches(random_element(n, random.Random(seed)).window, n)
 
 
+def assert_length_changes_match(win, n):
+    table = reflection_swaps(n)
+    expected = [kernels.length_change(win, swaps) for swaps in table.values()]
+    assert kernels.length_changes(win, table.values()) == expected, win
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_length_changes_match_length_change_exhaustive(n):
+    for w in weyl_elements(n):
+        assert_length_changes_match(w.window, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_length_changes_match_length_change_sampled(n, seed):
+    assert_length_changes_match(random_element(n, random.Random(seed)).window, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_length_changes_on_arbitrary_swap_pairs(data, n, seed):
+    # every relative placement of two swaps on four distinct positions, not
+    # only the disjoint and nested ones that reflections use
+    win = random_element(n, random.Random(seed)).window
+    positions = st.lists(st.integers(1, 2 * n), min_size=4, max_size=4, unique=True)
+    swaps_list = []
+    for a, b, c, d in data.draw(st.lists(positions, min_size=1, max_size=8)):
+        swaps_list.append(((min(a, b), max(a, b)), (min(c, d), max(c, d))))
+        swaps_list.append(((min(a, b), max(a, b)),))
+    expected = [kernels.length_change(win, swaps) for swaps in swaps_list]
+    assert kernels.length_changes(win, swaps_list) == expected
+
+
 def test_reflection_swaps_table():
     table = reflection_swaps(3)
     assert list(table) == positive_roots(3)
