@@ -5,11 +5,15 @@ bruhat, sweep.  Exit codes: 0 when every requested check passes, 1 when a
 check fails, 2 on usage errors.  --json switches to the documented schema;
 sampled sweeps embed their seed so identical flags give byte-identical
 output.
+
+In one process `run` keeps one argument parser and each named cone it has
+built, so repeated in-process calls pay only for the question asked.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,8 +75,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="zipcone", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is about
+    # in-process use
+    parser = _Parser(prog="zipcone", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="verb")
 
     def add(name, **kwargs):
@@ -161,10 +168,19 @@ def _require_p(args) -> int:
 def _named_cone(args, n: int):
     """The rank-n cone that `--cone` names, for the names that cone-check and
     farkas share: gs, lmin-i and pha-wmax."""
-    if args.cone == "gs":
+    p = _require_p(args) if args.cone == "lmin-i" else None
+    return _cone(args.cone, n, p)
+
+
+@functools.lru_cache(maxsize=32)
+def _cone(name: str, n: int, p: int | None):
+    """Each named cone once per key and process: a Cone is immutable.  The
+    cache sits here, not on the constructors, so a direct call still runs
+    its construction checks."""
+    if name == "gs":
         return cone_GS(n)
-    if args.cone == "lmin-i":
-        return lmin_prefix_cone(n, _require_p(args))
+    if name == "lmin-i":
+        return lmin_prefix_cone(n, p)
     return pha_wmax_cone(n)
 
 

@@ -258,15 +258,16 @@ def eset_reference(n: int, d: int, i: int) -> frozenset[Root]:
     return frozenset(roots)
 
 
+def _restored_long_roots(n: int, d: int, i: int) -> frozenset[Root]:
+    """The long roots 2e_k (k <= i) that the reference set omits at d = n-1."""
+    return frozenset(Root.long(k) for k in range(1, i + 1)) if d == n - 1 else frozenset()
+
+
 def eset_verified(n: int, d: int, i: int) -> frozenset[Root]:
     """The computationally verified closed form: the reference set, plus the
     long roots 2e_k (k <= i) that appear when d = n-1.  Every path element
     has exactly n lower neighbors."""
-    roots = set(eset_reference(n, d, i))
-    if d == n - 1:
-        for k in range(1, i + 1):
-            roots.add(Root.long(k))
-    return frozenset(roots)
+    return eset_reference(n, d, i) | _restored_long_roots(n, d, i)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +361,7 @@ def check_path_steps(n: int, p: int, steps) -> PathReport:
         computed = neighbors.roots
         oracle = lower_neighbors_oracle(step.w).roots
         reference = eset_reference(n, step.d, step.i)
-        verified = eset_verified(n, step.d, step.i)
+        verified = reference | _restored_long_roots(n, step.d, step.i)
         others = [a for a in computed if a != step.beta]
         orthogonal = (
             step.beta in computed

@@ -41,7 +41,9 @@ def dot(u: Sequence, v: Sequence):
 
 def _cleared(row: Sequence) -> tuple[list[int], int]:
     """The row scaled by the lcm of its denominators, and that lcm."""
-    if all(isinstance(x, int) for x in row):
+    # one C-level pass: a generator of isinstance calls cost more than the
+    # elimination on integral rows
+    if all(map(int.__instancecheck__, row)):
         return list(row), 1
     fr = [Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in fr))

@@ -9,7 +9,6 @@ aggregates to the same result.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -56,6 +55,10 @@ def _chunks(items, jobs):
 def _pmap(fn, chunks, jobs):
     if jobs <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    # imported here: it is a tenth of the CLI's import time, and only a pool
+    # needs it
+    import multiprocessing
+
     with multiprocessing.Pool(jobs) as pool:
         return pool.map(fn, chunks)
 

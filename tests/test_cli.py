@@ -543,15 +543,109 @@ def test_sweep_json_is_byte_identical_across_jobs_property(flags):
     assert outputs[1:] == outputs[:1] * 2
 
 
+def subprocess_env() -> dict:
+    """The environment of a child Python that imports zipcone from the path
+    this suite imports it from."""
+    src = str(Path(zipcone.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     """`python -m zipcone` is the CLI, with the package found on the path
     this suite imports it from."""
-    src = str(Path(zipcone.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = ["path", "--n", "2", "--p", "2"]
     done = subprocess.run(
-        [sys.executable, "-m", "zipcone", *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "zipcone", *argv],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60,
     )
     code, out, _ = invoke(capsys, *argv)
     assert code == 0 and out
     assert (done.returncode, done.stdout) == (code, out)
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    """Only `sweep --jobs` above 1 needs a worker pool, so importing the CLI
+    must not pay for `multiprocessing`."""
+    code = "import sys, zipcone.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n")
+
+
+# ---------------------------------------------------------------------------
+# the warm in-process path: one parser and each named cone once per process
+
+
+def test_run_builds_its_parser_once(capsys, monkeypatch):
+    import zipcone.cli as cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for argv in (["weyl", "--n", "2", "--canonical"], ["enum-iw", "--n", "2"], ["no-such-verb"]):
+        invoke(capsys, *argv)
+    assert built.count("zipcone") == 1
+    # positive control: the counter sees a second build once the cache is gone
+    cli._build_parser.cache_clear()
+    invoke(capsys, "enum-iw", "--n", "2")
+    assert built.count("zipcone") == 2
+
+
+def test_cli_builds_each_named_cone_once(capsys, monkeypatch):
+    import zipcone.cli as cli
+
+    built = []
+    real = cli.pha_wmax_cone
+
+    def counting_cone(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "pha_wmax_cone", counting_cone)
+    cli._cone.cache_clear()
+    for argv in (
+        ["farkas", "--cone", "pha-wmax", "--target", "1,0,0|0"],
+        ["cone-check", "--cone", "pha-wmax", "--lambda=-1,0,-2|1"],
+        ["farkas", "--cone", "pha-wmax", "--target", "1,2,0|0", "--p", "5"],
+        ["cone-check", "--cone", "pha-wmax", "--lambda=-1,0,-2|1", "--p", "3"],
+    ):
+        assert invoke(capsys, *argv)[0] == 0
+    assert built == [3]
+    # positive control: another rank is another cone
+    assert invoke(capsys, "cone-check", "--cone", "pha-wmax", "--lambda=-1,0|0")[0] == 0
+    assert built == [3, 2]
+
+
+def test_warm_parser_carries_nothing_between_calls(capsys):
+    import zipcone.cli as cli
+
+    valid = ("weyl", "--n", "2", "--elem", "4 3 2 1")
+    cli._build_parser.cache_clear()
+    alone = invoke(capsys, *valid)
+    assert alone == (0, "window: 4 3 2 1\nlength: 4\n", "")
+    assert invoke(capsys, *valid, "--no-such-flag")[0] == 2
+    assert invoke(capsys, "cone-check", "--cone", "no-such-cone", "--lambda", "1|0")[0] == 2
+    assert invoke(capsys, *valid) == alone
+    assert invoke(capsys, *valid, "--length") == (0, "4\n", "")
+    assert invoke(capsys, *valid) == alone
+
+
+def test_cli_cone_cache_leaves_direct_construction_checked(capsys, monkeypatch):
+    """The CLI's cone cache must not reach `cones.pha_wmax_cone`: a direct
+    call still checks its closed-form certificates."""
+    from zipcone import cones
+
+    assert invoke(capsys, "farkas", "--cone", "pha-wmax", "--target", "1,0,0|0")[0] == 0
+    good = cones.coroot_form_multipliers
+    monkeypatch.setattr(
+        cones, "coroot_form_multipliers", lambda alpha, n: tuple(m + 1 for m in good(alpha, n))
+    )
+    with pytest.raises(AssertionError):
+        cones.pha_wmax_cone(3)
