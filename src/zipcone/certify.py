@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import linalg
 # farkas_implies is unused here but stays importable as certify.farkas_implies:
 # perfbench/selftest.py checks that its tracer rebinds this copy.
 from .cones import farkas_implies  # noqa: F401
@@ -33,6 +32,8 @@ from .cones import (
     prefix_functional,
     prefix_multipliers,
     frac_str,
+    sparse_value,
+    support,
 )
 from .hasse import PathStep, descent_path
 from .weylroot import Character, Root, WeylElem
@@ -117,34 +118,46 @@ class Certificate:
         key when one is given, rendered without building the payload.
 
         The checks repeat a few dozen functional rows and far fewer
-        generators than checks, so each distinct row, generator and label is
-        rendered once and every check is assembled from those fragments with
-        its keys in sorted order.  Everything else goes through `json.dumps`
-        and is moved to its depth by indenting every line after the first;
-        that is exact because JSON strings never hold a raw newline.
+        generators than checks, so each distinct row, generator, label and
+        (ok, value) ending is rendered once, and every check is one f-string
+        over those fragments, with its keys in sorted order; multipliers,
+        where a check has them, are rendered in place.  Everything else goes
+        through `json.dumps` and is moved to its depth by indenting every
+        line after the first; that is exact because JSON strings never hold
+        a raw newline.  The text is joined once from its pieces, since every
+        further concatenation would copy all of it again.
         """
-        rows, gens, labels = _Fragments(list), _Fragments(str), _Fragments(str)
-        gens[None] = "null"
+        rows = _Fragments(lambda row: _indented(list(row), 3))
+        gens = _Fragments(lambda gen: _indented(str(gen), 3))
+        labels = _Fragments(lambda label: _indented(label, 3))
+        tails = _Fragments(_tail)
+        gen, gen_text = None, "null"
+        gens[None] = gen_text
         checks = []
         for c in self.checks:
-            parts = [
-                '{\n      "functional": ', rows[c.functional],
-                ',\n      "generator": ', gens[c.generator],
-                ',\n      "label": ', labels[c.label],
-            ]
-            if c.multipliers is not None:
-                parts += [',\n      "multipliers": ', _indented([frac_str(m) for m in c.multipliers], 3)]
-            parts += [',\n      "ok": ', "true" if c.ok else "false"]
-            if c.value is not None:
-                parts += [',\n      "value": "', frac_str(c.value), '"']
-            parts.append("\n    }")
-            checks.append("".join(parts))
+            # the generator's fragment is kept while consecutive checks share it,
+            # as envelope_certificate writes them, to skip hashing the character
+            if c.generator is not gen:
+                gen, gen_text = c.generator, gens[c.generator]
+            mults = "" if c.multipliers is None else (
+                f'\n      "multipliers": {_indented([frac_str(m) for m in c.multipliers], 3)},'
+            )
+            checks += (
+                ",\n    ",
+                f'{{\n      "functional": {rows[c.functional]},\n      "generator": {gen_text},'
+                f'\n      "label": {labels[c.label]},{mults}{tails[c.ok, c.value]}',
+            )
         head = self._head()
         if path_report is not None:
             head["path_report"] = path_report
-        fields = {k: _indented(v, 1) for k, v in head.items()}
-        fields["checks"] = ("[\n    " + ",\n    ".join(checks) + "\n  ]") if checks else "[]"
-        return "{\n" + ",\n".join(f'  "{k}": {fields[k]}' for k in sorted(fields)) + "\n}"
+        fields = {k: [_indented(v, 1)] for k, v in head.items()}
+        fields["checks"] = ["[\n    ", *checks[1:], "\n  ]"] if checks else ["[]"]
+        parts = []
+        for k in sorted(fields):
+            parts += (",\n", f'  "{k}": ', *fields[k])
+        parts[0] = "{\n"
+        parts.append("\n}")
+        return "".join(parts)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
@@ -196,16 +209,26 @@ def _indented(value, depth: int) -> str:
 
 
 class _Fragments(dict):
-    """JSON fragments at the depth of a check's values, each rendered on its
-    first lookup from `to_value(key)`."""
+    """Text fragments of a check, each rendered on its first lookup by
+    `render(key)`."""
 
-    def __init__(self, to_value):
+    def __init__(self, render):
         super().__init__()
-        self.to_value = to_value
+        self.render = render
 
     def __missing__(self, key) -> str:
-        text = self[key] = _indented(self.to_value(key), 3)
+        text = self[key] = self.render(key)
         return text
+
+
+def _tail(key: tuple) -> str:
+    """A check's text after its label or multipliers, for key (ok, value):
+    "ok", then "value" when there is one."""
+    ok, value = key
+    text = f'\n      "ok": {"true" if ok else "false"}'
+    if value is not None:
+        text += f',\n      "value": "{frac_str(value)}"'
+    return text + "\n    }"
 
 
 def _char_from_vector(vec: IntRow) -> Character:
@@ -219,7 +242,8 @@ def envelope_certificate(n: int, p: int) -> Certificate:
     For each generator, each orbit contributes its binding subset functional
     (the subset of negative pairings; every other subset functional is
     dominated by it), read off the generator's entries by orbit_worst_rows,
-    and every prefix functional is evaluated as well.  The prefix
+    and every prefix functional is evaluated as well.  Each value is summed
+    over the generator's nonzero entries, at most two.  The prefix
     functionals are also written as nonnegative combinations of the base
     inequalities {a_i <= 0}, with closed-form, self-verifying integer
     multipliers.
@@ -236,10 +260,10 @@ def envelope_certificate(n: int, p: int) -> Certificate:
     checks: list[EnvelopeCheck] = []
     prefix_rows = [(f"prefix-{j}", prefix_functional(n, p, j)) for j in range(1, n + 1)]
     for gen in base_gens + ha_weights:
-        vec = gen.vector()
+        entries = support(gen.vector())
         orbit_rows = list(zip(("orbit-long-worst", "orbit-sum-worst"), orbit_worst_rows(gen.a, p)))
         for label, row in orbit_rows + prefix_rows:
-            value = linalg.dot(row, vec)
+            value = sparse_value(row, entries)
             checks.append(
                 EnvelopeCheck(label=label, functional=row, generator=gen, value=value, ok=value <= 0)
             )

@@ -45,8 +45,10 @@ from .cones import (
 from .hasse import check_path_steps, verify_path_lemmas
 from .sweeps import bruhat_suite, gamma_suite, lmin_oracle_suite, redundancy_suite
 from .weylroot import (
+    Character,
     RatCharacter,
     WeylElem,
+    _parse_char_text,
     act,
     canonical_elements,
     root_order,
@@ -61,9 +63,10 @@ MAX_BRUHAT_EXHAUSTIVE_RANK = 4  # without --samples it checks all pairs
 MAX_ENUM_IW_RANK = 16  # enum-iw lists 2^n representatives
 MAX_SAMPLES = 100_000
 MAX_JOBS = 32  # sweep --jobs is the worker-process count of one Pool
-# path grows polynomially, not exponentially: its limit is the largest rank
-# whose time is measured (README limits table)
+# path and verify-theorem grow polynomially, not exponentially: each limit
+# is the largest rank whose time is measured (README limits table)
 MAX_PATH_RANK = 64
+MAX_CERT_RANK = 64
 
 
 class UsageError(Exception):
@@ -141,7 +144,11 @@ def _build_parser() -> _Parser:
 
 
 def _parse_char(text: str):
-    lam = RatCharacter.parse(text)
+    """A Character when every entry is integral, else a RatCharacter."""
+    a, b = _parse_char_text(text)
+    if all(map(int.__instancecheck__, a)) and isinstance(b, int):
+        return Character(tuple(a), b)
+    lam = RatCharacter(a, b)
     if lam.is_integral():
         return lam.to_integral()
     return lam
@@ -333,6 +340,8 @@ def _refuse_out(path, exc: OSError) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
+    if args.n > MAX_CERT_RANK:
+        raise UsageError(f"--n must be at most {MAX_CERT_RANK}, got {args.n}")
     if args.out:
         # refuse a path that cannot be written before the build, not after it;
         # the probe leaves no trace: append mode keeps an existing file as it
@@ -499,7 +508,19 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+        # flush here, so that a reader that has gone raises inside the try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`zipcone ... | head`): no traceback.  As
+        # the SIGPIPE note of the `signal` documentation advises, point
+        # stdout at devnull so that the flush at exit cannot fail again, and
+        # exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

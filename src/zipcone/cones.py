@@ -8,6 +8,7 @@ multiplying through by p, so every certificate is bit-exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -34,6 +35,20 @@ def _as_vector(x) -> tuple:
     if isinstance(x, (Character, RatCharacter)):
         return x.vector()
     return tuple(x)
+
+
+def support(vec: Sequence) -> list[tuple[int, int]]:
+    """The nonzero entries of a vector, as (index, entry) pairs."""
+    return [(k, x) for k, x in enumerate(vec) if x]
+
+
+def sparse_value(row: Sequence, entries: list[tuple[int, int]]):
+    """row . v for the vector v whose nonzero entries are `entries`: the cone
+    generators have one or two, so this is O(1) where a dense dot is O(n)."""
+    value = 0
+    for k, x in entries:
+        value += row[k] * x
+    return value
 
 
 def coroot_functional(alpha: Root, n: int, scale: int = 1) -> IntRow:
@@ -63,7 +78,8 @@ class Cone:
             for g in self.vform:
                 if len(g) != self.dim:
                     raise ValueError(f"generator {g} has wrong dimension")
-                bad = [row for row in self.hform if linalg.dot(row, g) > 0]
+                entries = support(g)
+                bad = [row for row in self.hform if sparse_value(row, entries) > 0]
                 if bad:
                     raise ValueError(f"generator {g} violates {bad[0]}")
 
@@ -149,17 +165,18 @@ def orbit_worst_rows(a: Sequence[int], p: int) -> list[IntRow]:
     p; dotted with a it is the long-orbit sum that lmin_member tests.  The
     sum root e_k + e_j pairs to a_k + a_j and has coroot e_k + e_j, so the
     sum row's coefficient on a_k is the sum over j != k of
-    (1 if a_k + a_j < 0 else p).
+    (1 if a_k + a_j < 0 else p), that is c_k + p * (n - 1 - c_k) with
+    c_k = #{j != k : a_j < -a_k}.  Bisecting the sorted entries at -a_k
+    counts #{j : a_j < -a_k}, which includes j = k exactly when a_k < -a_k,
+    that is a_k < 0; so c_k is that count minus 1 when a_k < 0, and the
+    whole row takes O(n log n).
     """
     rows = [tuple(1 if x < 0 else p for x in a) + (0,)]
-    if len(a) > 1:
-        rows.append(
-            tuple(
-                sum(1 if x + y < 0 else p for j, y in enumerate(a) if j != k)
-                for k, x in enumerate(a)
-            )
-            + (0,)
-        )
+    n = len(a)
+    if n > 1:
+        ordered = sorted(a)
+        counts = [bisect_left(ordered, -x) - (x < 0) for x in a]
+        rows.append(tuple(c + p * (n - 1 - c) for c in counts) + (0,))
     return rows
 
 
@@ -287,8 +304,8 @@ def _check_p(p: int) -> None:
 class FarkasCertificate:
     """Either nonnegative multipliers writing the target as a combination of
     the system rows (implication over the cone), or a rational witness in
-    the cone violating the target.  Self-verifying on construction; the
-    multipliers are checked exactly in integer arithmetic."""
+    the cone violating the target.  Self-verifying on construction; both
+    are checked exactly in integer arithmetic."""
 
     target: IntRow
     system: tuple[IntRow, ...]
@@ -307,10 +324,13 @@ class FarkasCertificate:
             if any(acc):
                 raise AssertionError(f"nonzero residual {self.residual}")
         else:
+            # L * witness is integral for L the lcm of its denominators, and
+            # L > 0 keeps the sign of every value, so integers decide both
+            witness, _ = linalg._cleared(self.witness)
             for row in self.system:
-                if linalg.dot(row, self.witness) > 0:
+                if linalg.dot(row, witness) > 0:
                     raise AssertionError("witness violates the system")
-            if linalg.dot(self.target, self.witness) <= 0:
+            if linalg.dot(self.target, witness) <= 0:
                 raise AssertionError("witness does not violate the target")
 
     def _scaled_residual(self) -> tuple[int, list]:

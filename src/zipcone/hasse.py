@@ -11,7 +11,9 @@ every disagreement is reported, never reconciled silently: the first index
 of the closed-form weight differs from the computed one by one (both
 variants land in the orbit-inequality cone, so downstream certificates are
 insensitive to the discrepancy), and for d = n-1 the closed-form neighbor
-list omits long roots that demonstrably occur.
+list omits long roots that demonstrably occur.  The corrected closed form
+is step_weight, proved in its docstring; descent_path asserts it at every
+step against the weight it reads off the windows.
 """
 
 from __future__ import annotations
@@ -191,7 +193,9 @@ def descent_path(n: int, p: int) -> list[PathStep]:
         for i in range(0, d):
             beta = Root.diff(i + 1, d + 1)
             chi = Character.unit(n, i + 1)
-            ha = (-1 * act(w, chi)) + p * act(wmax, chi)
+            ha = _unit_weight(n, p, w.window[i], wmax.window[i])
+            if ha != step_weight(n, p, d, i):
+                raise AssertionError(f"step weight must be e_{{d-i}} - p*e_{{n-i}} at ({d}, {i})")
             closed = ha_closed_form(n, p, d, i)
             relation = compare_step_weights(n, p, d, i, ha)
             steps.append(PathStep(d, i, w, beta, chi, ha, closed, relation))
@@ -203,29 +207,84 @@ def descent_path(n: int, p: int) -> list[PathStep]:
     return steps
 
 
+def _unit_weight(n: int, p: int, w_value: int, wmax_value: int) -> Character:
+    """-w(e_k) + p*wmax(e_k) from the window values w(k) and wmax(k).
+
+    A signed permutation sends e_k to e_v when v = w(k) <= n and to
+    -e_{2n+1-v} when v > n, so each image is one signed slot; this is
+    `act` on a basis character, read off two window entries."""
+    a = [0] * n
+    for value, scale in ((w_value, -1), (wmax_value, p)):
+        if value <= n:
+            a[value - 1] += scale
+        else:
+            a[2 * n - value] -= scale
+    return Character(tuple(a), 0)
+
+
+def step_weight(n: int, p: int, d: int, i: int) -> Character:
+    """The step weight at step (d, i) in closed form: e_{d-i} - p*e_{n-i}.
+
+    The weight is -w(e_{i+1}) + p*wmax(e_{i+1}) with w = tau_d^(i), so it is
+    fixed by the two window values w(i+1) and wmax(i+1) (see _unit_weight).
+
+    wmax = w0I * w0 sends k <= n to n+k: w0 sends k to 2n+1-k, and w0I,
+    which reverses 1..n and fixes the mirror pairing, sends that to n+k.
+    So wmax(i+1) = n+1+i > n and wmax(e_{i+1}) = -e_{n-i}.
+
+    Within the d-block, w(k) = 2n-d+k for i+1 <= k <= d, by induction on
+    i.  At i = 0, w is the block window anchor(d), which sends 1..d to
+    2n-d+1..2n.  The step from i to i+1 composes w on the right with the
+    reflection in e_{i+1} - e_{d+1}, which swaps positions i+1 and d+1 (and
+    their mirrors 2n-i and 2n-d, both above n) and moves no other
+    position, so positions i+2..d keep their values.  Hence
+    w(i+1) = 2n+1-(d-i) > n and w(e_{i+1}) = -e_{d-i}, and the weight is
+    e_{d-i} - p*e_{n-i}.
+
+    That the walk passes through anchor(d) at the start of every d-block
+    is not proved here: descent_path checks it at run time, and checks the
+    computed weight against this closed form at every step.
+    """
+    _check_step(n, p, d, i)
+    a = [0] * n
+    a[d - i - 1] += 1      # e_{d-i}
+    a[n - i - 1] -= p      # -p * e_{n-i}
+    return Character(tuple(a), 0)
+
+
 def ha_closed_form(n: int, p: int, d: int, i: int) -> Character:
     """The closed-form step weight e_{d-i+1} - p*e_{n-i}, kept verbatim as
     reference data; the computed pipeline value is authoritative and its
-    first index is smaller by one (see compare_step_weights)."""
-    if not (1 <= d <= n - 1 and 0 <= i <= d - 1):
-        raise ValueError(f"bad step index ({d}, {i}) for rank {n}")
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
+    first index is smaller by one (see compare_step_weights and
+    step_weight)."""
+    _check_step(n, p, d, i)
     a = [0] * n
     a[d - i] += 1          # e_{d-i+1}
     a[n - i - 1] -= p      # -p * e_{n-i}
     return Character(tuple(a), 0)
 
 
+def _check_step(n: int, p: int, d: int, i: int) -> None:
+    if not (1 <= d <= n - 1 and 0 <= i <= d - 1):
+        raise ValueError(f"bad step index ({d}, {i}) for rank {n}")
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+
+
 def compare_step_weights(n: int, p: int, d: int, i: int, pipeline: Character) -> str:
     """Relation of the computed weight to the closed form: 'equal',
     'first_index_shift' (difference is exactly e_{d-i+1} - e_{d-i}, so the
-    -p*e_{n-i} terms agree), or 'other'."""
-    closed = ha_closed_form(n, p, d, i)
-    if pipeline == closed:
+    -p*e_{n-i} terms agree), or 'other'.  Compares the vectors directly."""
+    closed = ha_closed_form(n, p, d, i).vector()
+    if pipeline.n != n:
+        raise ValueError(f"rank mismatch: {pipeline.n} vs {n}")
+    got = pipeline.vector()
+    if got == closed:
         return "equal"
-    shift = Character.unit(n, d - i + 1) - Character.unit(n, d - i)
-    if closed - pipeline == shift:
+    shifted = list(closed)
+    shifted[d - i] -= 1    # - e_{d-i+1}
+    shifted[d - i - 1] += 1  # + e_{d-i}
+    if got == tuple(shifted):
         return "first_index_shift"
     return "other"
 

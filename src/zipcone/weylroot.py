@@ -32,7 +32,7 @@ class Character:
     b: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(x, int) for x in self.a) or not isinstance(self.b, int):
+        if not all(map(int.__instancecheck__, self.a)) or not isinstance(self.b, int):
             raise TypeError("Character entries must be integers")
         object.__setattr__(self, "a", tuple(self.a))
 
@@ -81,7 +81,7 @@ class Character:
         return Character(tuple(c * x for x in self.a), c * self.b)
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.a) + "|" + str(self.b)
+        return ",".join(map(str, self.a)) + "|" + str(self.b)
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,20 @@ class RatCharacter:
         return RatCharacter(tuple(c * x for x in self.a), c * self.b)
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.a) + "|" + str(self.b)
+        return ",".join(map(str, self.a)) + "|" + str(self.b)
 
 
 AnyCharacter = Union[Character, RatCharacter]
+
+
+def _parse_entry(part: str) -> int | Fraction:
+    """An int when the text is one, else a Fraction; a text that int()
+    refuses but Fraction() accepts, such as "3/1" or "1e2", stays a
+    Fraction, and one both refuse raises Fraction's error."""
+    try:
+        return int(part)
+    except ValueError:
+        return Fraction(part)
 
 
 def _parse_char_text(text: str):
@@ -142,8 +152,8 @@ def _parse_char_text(text: str):
     if not sep:
         raise ValueError(f"character {text!r} must look like 'a_1,...,a_n|b'")
     try:
-        a = [Fraction(part.strip()) for part in body.split(",") if part.strip() != ""]
-        b = Fraction(tail.strip())
+        a = [_parse_entry(part.strip()) for part in body.split(",") if part.strip() != ""]
+        b = _parse_entry(tail.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse character {text!r}: {exc}") from None
     if not a:
@@ -393,7 +403,7 @@ class WeylElem:
         return cls(vals)
 
     def __str__(self) -> str:
-        return " ".join(str(x) for x in self.window)
+        return " ".join(map(str, self.window))
 
 
 def _check_ranks(u: WeylElem, v: WeylElem):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipcone import cones, hasse, weylroot
+from zipcone import cones, hasse, linalg, weylroot
 from zipcone.certify import Certificate, EnvelopeCheck, envelope_certificate
 from zipcone.cones import lmin_member
 from zipcone.hasse import descent_path, verify_path_lemmas
@@ -136,6 +136,25 @@ def test_envelope_build_pairs_no_roots(monkeypatch):
     assert calls == Counter()
     verify_path_lemmas(3, 5)  # the wrappers are live: this pairs chi with E_w
     assert calls["pairing"] > 0
+
+
+def test_envelope_build_makes_no_dense_dot(monkeypatch):
+    calls = count_calls(monkeypatch, linalg.dot)
+    envelope_certificate(12, 5)
+    assert calls == Counter()
+    cones.pha_wmax_cone(3).member((-1, 0, -2, 1))  # the wrapper is live
+    assert calls["dot"] > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_sparse_check_values_equal_dense_dots(p):
+    for n in range(1, 13):
+        evaluations = [c for c in envelope_certificate(n, p).checks if c.generator is not None]
+        assert evaluations
+        for c in evaluations:
+            assert type(c.value) is int
+            assert c.value == linalg.dot(c.functional, c.generator.vector())
+            assert c.ok == (c.value <= 0)
 
 
 def test_certificate_text_reads_the_steps_closed_forms(monkeypatch):

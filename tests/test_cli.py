@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zipcone
-from zipcone.cli import run
+from zipcone.cli import _parse_char, run
+from zipcone.weylroot import Character, RatCharacter
 
 
 def invoke(capsys, *argv):
@@ -405,6 +407,70 @@ def test_path_refuses_rank_above_limit_before_any_check(capsys, monkeypatch):
         ["path", "--n", str(MAX_PATH_RANK + 1), "--p", "5"],
         f"--n must be at most {MAX_PATH_RANK}, got {MAX_PATH_RANK + 1}",
     )
+
+
+def test_verify_theorem_refuses_rank_above_limit_before_any_build(capsys, monkeypatch):
+    import zipcone.cli
+    from zipcone.cli import MAX_CERT_RANK
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a refused --n must build no certificate")
+
+    monkeypatch.setattr(zipcone.cli, "envelope_certificate", no_build)
+    assert_refused(
+        capsys,
+        ["verify-theorem", "--n", str(MAX_CERT_RANK + 1), "--p", "5", "--json"],
+        f"--n must be at most {MAX_CERT_RANK}, got {MAX_CERT_RANK + 1}",
+    )
+    # positive control: an accepted rank reaches the build
+    with pytest.raises(AssertionError, match="no certificate"):
+        run(["verify-theorem", "--n", str(MAX_CERT_RANK), "--p", "5"])
+
+
+def test_closed_stdout_prints_no_traceback():
+    """A reader that stops early (`| head -c 10`) closes the pipe; the CLI
+    exits 1, as Python does on EPIPE, without a traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zipcone", "verify-theorem", "--n", "12", "--p", "5", "--json"],
+        env=subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head == b'{\n  "base_'
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def fraction_parse(text: str):
+    """The CLI's reading of a character with every entry parsed as a
+    Fraction: the reference for reading integral entries as ints."""
+    body, _, tail = text.strip().partition("|")
+    try:
+        a = [Fraction(t.strip()) for t in body.split(",") if t.strip() != ""]
+        b = Fraction(tail.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        return ValueError, f"cannot parse character {text!r}: {exc}"
+    if all(x.denominator == 1 for x in [*a, b]):
+        return Character(tuple(int(x) for x in a), int(b))
+    return RatCharacter(tuple(a), b)
+
+
+@pytest.mark.parametrize("part", ["3/1", "1.5", "1e2", " 4 ", "-0", "", "x", "1/0", "7"])
+@pytest.mark.parametrize("place", ["{},2|0", "2,{}|1", "2|{}"])
+def test_parse_char_reads_integral_entries_as_ints(place, part):
+    text = place.format(part)
+    want = fraction_parse(text)
+    if isinstance(want, tuple):
+        with pytest.raises(ValueError) as caught:
+            _parse_char(text)
+        assert str(caught.value) == want[1]
+        return
+    got = _parse_char(text)
+    assert type(got) is type(want) and got == want
+    if isinstance(got, Character):
+        assert all(type(x) is int for x in got.vector())
 
 
 def test_path_report_reuses_the_certificate_path(capsys, monkeypatch):

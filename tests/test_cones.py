@@ -117,10 +117,13 @@ def test_sum_orbit_worst_is_bounded_by_long_orbit_worst(lam, p):
 @st.composite
 def int_generators(draw):
     """Integer entries of a rank-n generator, n <= 16: dense, or with at most
-    two nonzero entries like every envelope generator."""
+    two nonzero entries like every envelope generator.  Dense entries are
+    sometimes drawn from -3..3, which makes a_j = -a_k, zeros and repeats
+    common: the ties where counting by bisection could be off by one."""
     n = draw(st.integers(1, 16))
     if draw(st.booleans()):
-        return tuple(draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n)))
+        bound = draw(st.sampled_from([3, 40]))
+        return tuple(draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)))
     a = [0] * n
     for k in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
         a[k] = draw(st.integers(-40, 40))
@@ -246,6 +249,50 @@ def test_farkas_certificate_self_verification():
             system=((1, 0),),
             witness=(Fraction(1), Fraction(0)),
         )
+
+
+def witness_accepted_over_fractions(target, system, witness) -> bool:
+    """The reference check: every system row <= 0 and the target > 0 at the
+    witness, in Fraction arithmetic."""
+    return all(dot(row, witness) <= 0 for row in system) and dot(target, witness) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 5),
+    rows=st.integers(0, 5),
+)
+def test_witness_check_in_integers_matches_fractions(data, dim, rows):
+    ints = st.integers(-6, 6)
+    system = tuple(tuple(data.draw(st.lists(ints, min_size=dim, max_size=dim))) for _ in range(rows))
+    target = tuple(data.draw(st.lists(ints, min_size=dim, max_size=dim)))
+    witness = tuple(
+        Fraction(data.draw(ints), data.draw(st.integers(1, 12))) for _ in range(dim)
+    )
+    if witness_accepted_over_fractions(target, system, witness):
+        cert = FarkasCertificate(target, system, witness=witness)
+        assert cert.witness == witness and not cert.implied
+    else:
+        with pytest.raises(AssertionError):
+            FarkasCertificate(target, system, witness=witness)
+
+
+def test_tampered_witness_still_raises():
+    target = (5, 25, 1, 0)
+    cone = lmin_prefix_cone(3, 5)
+    wit = farkas_implies(target, cone).witness
+    assert any(x.denominator != 1 for x in wit)  # so the check clears denominators
+    FarkasCertificate(target, cone.hform, witness=wit)
+    # off the cone: raise a_1 far enough to break the first prefix row
+    off_cone = (wit[0] + 1000 + Fraction(1, 7),) + wit[1:]
+    with pytest.raises(AssertionError, match="violates the system"):
+        FarkasCertificate(target, cone.hform, witness=off_cone)
+    # on the wrong side of the target
+    with pytest.raises(AssertionError, match="does not violate the target"):
+        FarkasCertificate(tuple(-c for c in target), cone.hform, witness=wit)
+    with pytest.raises(ValueError):
+        FarkasCertificate(target, cone.hform, witness=wit[:-1])
 
 
 def test_n3_exact_cone_examples():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipcone.bruhat import is_separating, lower_neighbors
 from zipcone.cones import lmin_member
@@ -15,6 +17,7 @@ from zipcone.hasse import (
     hasse_map,
     pha_multiplicities,
     solve_chi,
+    step_weight,
     verify_path_lemmas,
 )
 from zipcone.weylroot import (
@@ -195,6 +198,60 @@ def test_ha_closed_form_examples():
         ha_closed_form(3, 2, 3, 0)
     with pytest.raises(ValueError):
         ha_closed_form(3, 2, 2, 2)
+
+
+def test_step_weight_examples():
+    p = 11
+    assert step_weight(3, p, 1, 0) == Character((1, 0, -p), 0)
+    assert step_weight(3, p, 2, 1) == Character((1, -p, 0), 0)
+    assert step_weight(2, 3, 1, 0) == Character((1, -3), 0)
+    with pytest.raises(ValueError):
+        step_weight(3, 2, 3, 0)
+    with pytest.raises(ValueError):
+        step_weight(3, 2, 2, 2)
+    with pytest.raises(ValueError):
+        step_weight(3, 1, 1, 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 64), p=st.sampled_from([2, 3, 5, 7]))
+def test_step_weight_is_the_computed_weight(n, p):
+    """The closed form e_{d-i} - p*e_{n-i} equals, at every step, the weight
+    -w(chi) + p*wmax(chi) computed through the full signed-permutation
+    action, independently of the window reads descent_path makes."""
+    wmax = canonical_elements(n).wmax
+    steps = descent_path(n, p)
+    assert [(s.d, s.i) for s in steps] == [(d, i) for d in range(1, n) for i in range(d)]
+    for s in steps:
+        closed = step_weight(n, p, s.d, s.i)
+        assert s.ha == closed
+        assert closed == (-1 * act(s.w, s.chi)) + p * act(wmax, s.chi)
+        # the two window facts of the proof in step_weight's docstring
+        assert s.w(s.i + 1) == 2 * n + 1 - (s.d - s.i)
+        assert wmax(s.i + 1) == n + 1 + s.i
+
+
+def test_descent_path_checks_the_closed_form_step_weight(monkeypatch):
+    import zipcone.hasse as hasse
+
+    real = hasse.step_weight
+    monkeypatch.setattr(hasse, "step_weight", lambda n, p, d, i: 2 * real(n, p, d, i))
+    with pytest.raises(AssertionError, match="step weight"):
+        descent_path(3, 5)
+    monkeypatch.setattr(hasse, "step_weight", real)
+    assert len(descent_path(3, 5)) == 3
+
+
+def test_compare_step_weights_relations():
+    n, p, d, i = 4, 5, 2, 1
+    closed = ha_closed_form(n, p, d, i)
+    assert compare_step_weights(n, p, d, i, closed) == "equal"
+    assert compare_step_weights(n, p, d, i, step_weight(n, p, d, i)) == "first_index_shift"
+    assert compare_step_weights(n, p, d, i, Character((1, 0, 0, -p), 0)) == "other"
+    shifted_with_b = Character(step_weight(n, p, d, i).a, 1)
+    assert compare_step_weights(n, p, d, i, shifted_with_b) == "other"
+    with pytest.raises(ValueError):
+        compare_step_weights(n, p, d, i, Character((1, -p, 0), 0))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
