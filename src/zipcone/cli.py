@@ -148,10 +148,7 @@ def _parse_char(text: str):
     a, b = _parse_char_text(text)
     if all(map(int.__instancecheck__, a)) and isinstance(b, int):
         return Character(tuple(a), b)
-    lam = RatCharacter(a, b)
-    if lam.is_integral():
-        return lam.to_integral()
-    return lam
+    return RatCharacter(a, b)
 
 
 def _check_rank_flag(n: int | None, char, flag: str) -> None:

@@ -138,13 +138,14 @@ AnyCharacter = Union[Character, RatCharacter]
 
 
 def _parse_entry(part: str) -> int | Fraction:
-    """An int when the text is one, else a Fraction; a text that int()
-    refuses but Fraction() accepts, such as "3/1" or "1e2", stays a
-    Fraction, and one both refuse raises Fraction's error."""
+    """An int when the value is integral, however it is spelled ("3",
+    "3/1", "1e2"), else a Fraction.  int() reads the common spelling; the
+    rest goes through Fraction(), whose error a text both refuse raises."""
     try:
         return int(part)
     except ValueError:
-        return Fraction(part)
+        value = Fraction(part)
+        return value.numerator if value.denominator == 1 else value
 
 
 def _parse_char_text(text: str):

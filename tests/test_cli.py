@@ -457,7 +457,7 @@ def fraction_parse(text: str):
     return RatCharacter(tuple(a), b)
 
 
-@pytest.mark.parametrize("part", ["3/1", "1.5", "1e2", " 4 ", "-0", "", "x", "1/0", "7"])
+@pytest.mark.parametrize("part", ["3/1", "-0/1", "1.5", "1e2", " 4 ", "-0", "", "x", "1/0", "7"])
 @pytest.mark.parametrize("place", ["{},2|0", "2,{}|1", "2|{}"])
 def test_parse_char_reads_integral_entries_as_ints(place, part):
     text = place.format(part)
