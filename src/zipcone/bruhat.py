@@ -144,11 +144,11 @@ def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:
     It works on the raw window: one `kernels.length_changes` pass builds the
     window's prefix value masks in O(n) and reads each root's length change
     off them in O(1) word operations, O(n^2) in all, without building
-    w * s_alpha.
+    w * s_alpha; mirror symmetry lets it evaluate one swap per root.
     """
-    table = reflection_swaps(w.n)
-    changes = kernels.length_changes(w.window, table.values())
-    return NeighborSet(w, frozenset([alpha for alpha, d in zip(table, changes) if d == -1]))
+    changes = kernels.length_changes(w.window)
+    roots = reflection_swaps(w.n)
+    return NeighborSet(w, frozenset([alpha for alpha, d in zip(roots, changes) if d == -1]))
 
 
 def is_separating(neighbors: NeighborSet) -> bool:

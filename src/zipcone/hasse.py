@@ -413,7 +413,9 @@ def check_path_steps(n: int, p: int, steps) -> PathReport:
     certificate's `path` gives it: neighbor sets against both closed forms
     and the brute-force oracle, the separating property, the cutting
     character's orthogonality, and both weight variants' membership in the
-    orbit-inequality cone.  Failures become report entries, not exceptions."""
+    orbit-inequality cone.  Failures become report entries, not exceptions.
+    E_w is rendered once per step; a closed form equal to it reuses that
+    text."""
     reports = []
     for step in steps:
         neighbors = lower_neighbors(step.w)
@@ -421,6 +423,7 @@ def check_path_steps(n: int, p: int, steps) -> PathReport:
         oracle = lower_neighbors_oracle(step.w).roots
         reference = eset_reference(n, step.d, step.i)
         verified = reference | _restored_long_roots(n, step.d, step.i)
+        computed_strs = _root_strs(computed)
         others = [a for a in computed if a != step.beta]
         orthogonal = (
             step.beta in computed
@@ -432,9 +435,9 @@ def check_path_steps(n: int, p: int, steps) -> PathReport:
                 d=step.d,
                 i=step.i,
                 window=str(step.w),
-                computed_eset=_root_strs(computed),
-                reference_eset=_root_strs(reference),
-                verified_eset=_root_strs(verified),
+                computed_eset=computed_strs,
+                reference_eset=computed_strs if computed == reference else _root_strs(reference),
+                verified_eset=computed_strs if computed == verified else _root_strs(verified),
                 matches_reference=computed == reference,
                 matches_verified=computed == verified,
                 extra_vs_reference=_root_strs(computed - reference),

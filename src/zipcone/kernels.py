@@ -7,9 +7,10 @@ where they enter.  This is the only backend; `BACKEND` names it for the
 JSON of `weyl --json` and for benchmark records.
 
 The brute-force neighbor oracle needs l(w*s) - l(w) for every positive
-root: `length_changes` gives all n^2 of them in O(n^2) per window from one
-pass of prefix value masks, while `length_change` counts one in O(n) and
-serves single steps and as the reference for the batch kernel.
+root: `length_changes` gives all n^2 of them in O(n^2) per mirror window
+from one pass of prefix value masks, evaluating one swap per root, while
+`length_change` counts one in O(n) and serves single steps and as the
+reference for the batch kernel.
 """
 
 from __future__ import annotations
@@ -92,54 +93,80 @@ def length_change(w, swaps):
     return delta // 2
 
 
-def length_changes(w, swaps_list):
-    """[length_change(w, s) for s in swaps_list] for reflections s of one or
-    two swaps, the two on four distinct positions as in
-    `weylroot.reflection_swaps`; O(n) once plus O(1) word operations per
-    reflection, so O(n^2) over all positive roots.
+def length_changes(w):
+    """[length_change(w, s) for s in reflection_swaps(n).values()] on a
+    mirror window w, in the order of `weylroot.positive_roots`; O(n) once
+    plus O(1) word operations per root, so O(n^2) over all n^2 roots.
 
-    The count c of `length_change` for a swap (a, b) is read off prefix
-    value masks: P[k] has bit v set for each value v = w(i), i <= k, so
-    P[b] ^ P[a] holds the values at positions a+1..b, and
-    (1 << hi) - (2 << lo) keeps those strictly between lo and hi, which
-    drops w(b).  A second swap (c, d) sees the window after the first one:
-    if exactly one of the first swap's positions lies strictly between c and
-    d, that position's value changed from w(a) to w(b) or back, so both bits
-    flip; if both do, the set of values between is unchanged.
+    Only the first swap (a, b) of each root is evaluated.  Write N = 2n + 1,
+    x = w(a), y = w(b), s = +1 if x < y else -1, c for the number of
+    positions strictly between a and b whose values lie strictly between x
+    and y, and h = (y > n) - (x > n).  As in `length_change`, the swap
+    changes the inversion count by s(1 + 2c) and, when a <= n < b, the
+    count #{i <= n : w(i) > n} by h.  The second swap of a two-swap root is
+    the mirror (N - b, N - a) of the first; on w itself its values N - y and
+    N - x give the same s, c and h.
+
+    e_i - e_j: swaps (i, j) and its mirror, neither across n.  The mirror
+    sees positions the first swap left alone, so each changes inv by
+    s(1 + 2c) and the length changes by s(1 + 2c).
+
+    e_i + e_j: swaps (i, b), b = N - j, then its mirror (j, N - i), with
+    values u = w(j) and v = N - x.  Position b lies strictly between j and
+    N - i and now holds x in place of y, so the mirror's c grows by
+    [x strictly between u and v] - [y strictly between u and v], and the
+    length changes by s(1 + 2c) + h + s([x between] - [y between]).  If x
+    and y lie on one side of n, u and v lie on the other: h and both
+    brackets are 0.  Otherwise h = s, and the last two terms add up to
+    2s[v strictly between x and y].  Since v sits at N - i, beyond b, the
+    change is s(1 + 2c') with c' counting v along with the values strictly
+    between x and y at positions i+1..b.  Doubling the first swap is wrong:
+    on the identity window at n = 2, e1+e2 changes the length by 3, while
+    s(1 + 2c) + h is 4.
+
+    2e_i: the single swap (i, N - i) across n, so the length changes by
+    (s(1 + 2c) + h) / 2.  Positions k and N - k hold w(k) and N - w(k),
+    strictly between x and N - x together, so c = 2c' with c' counted over
+    positions i+1..n, and h = s.  The change is s(1 + 2c').
+
+    Each c' is read off prefix value masks: P[k] has bit v set for each
+    value v = w(k'), k' <= k, so P[k] ^ P[i] holds the values at positions
+    i+1..k, and (1 << hi) - (2 << lo) keeps those strictly between lo and
+    hi, which drops w(k) itself.
     """
     n = len(w) // 2
+    top = 2 * n + 1
     win = (0, *w)  # 1-based: win[k] = w(k)
     prefix = [0]
     seen = 0
     for v in w:
         seen |= 1 << v
         prefix.append(seen)
-    out = []
-    for swaps in swaps_list:
-        a, b = swaps[0]
-        x = win[a]
-        y = win[b]
-        if x < y:
-            delta = 1 + 2 * ((prefix[b] ^ prefix[a]) & ((1 << y) - (2 << x))).bit_count()
-        else:
-            delta = -1 - 2 * ((prefix[b] ^ prefix[a]) & ((1 << x) - (2 << y))).bit_count()
-        if a <= n < b:
-            delta += (y > n) - (x > n)
-        if len(swaps) == 2:
-            c, d = swaps[1]
-            u = win[c]
-            v = win[d]
-            between = prefix[d] ^ prefix[c]
-            if (c < a < d) != (c < b < d):
-                between ^= (1 << x) | (1 << y)
-            if u < v:
-                delta += 1 + 2 * (between & ((1 << v) - (2 << u))).bit_count()
-            else:
-                delta -= 1 + 2 * (between & ((1 << u) - (2 << v))).bit_count()
-            if c <= n < d:
-                delta += (v > n) - (u > n)
-        out.append(delta // 2)
-    return out
+    half = prefix[n]
+    # one row per i: (i, x = w(i), P[i], then the two bounds on x's side of
+    # the masks); the signed count is written out three times, since a
+    # helper called per row was measurably slower at n = 16
+    rows = [(i, x, prefix[i], 1 << x, 2 << x) for i, x in enumerate(w[:n], 1)]
+    diffs = [
+        1 + 2 * ((p ^ left) & ((1 << y) - above)).bit_count() if x < y
+        else -1 - 2 * ((p ^ left) & (below - (2 << y))).bit_count()
+        for i, x, left, below, above in rows
+        for y, p in zip(win[i + 1:n + 1], prefix[i + 1:n + 1])
+    ]
+    sums = [  # v = N - x joins the counted values
+        1 + 2 * ((p ^ mirrored) & ((1 << y) - above)).bit_count() if x < y
+        else -1 - 2 * ((p ^ mirrored) & (below - (2 << y))).bit_count()
+        for i, x, left, below, above in rows
+        for mirrored in [left | 1 << (top - x)]
+        for y, p in zip(win[top - i - 1:n:-1], prefix[top - i - 1:n:-1])
+    ]
+    longs = [
+        1 + 2 * ((half ^ left) & ((1 << v) - above)).bit_count() if x < v
+        else -1 - 2 * ((half ^ left) & (below - (2 << v))).bit_count()
+        for i, x, left, below, above in rows
+        for v in [top - x]
+    ]
+    return diffs + sums + longs
 
 
 def bruhat_leq(w1, w2):
@@ -170,7 +197,10 @@ def rank_entry(w, i, j):
 
 def admissible_pairs(w):
     """All 1-based pairs (i, j), i < j, with w(i) > w(j) and no intermediate
-    position whose value lies strictly between w(j) and w(i)."""
+    position whose value lies strictly between w(j) and w(i).
+
+    The scan from i stops once it has recorded the value w(i) - 1: no later
+    value lies strictly between it and w(i)."""
     m = len(w)
     out = []
     for i in range(m - 1):
@@ -178,9 +208,9 @@ def admissible_pairs(w):
         best = 0  # largest value < w(i) seen so far between the endpoints
         for j in range(i + 1, m):
             wj = w[j]
-            if wj < wi:
-                if best < wj:
-                    out.append((i + 1, j + 1))
-                if wj > best:
-                    best = wj
+            if best < wj < wi:
+                out.append((i + 1, j + 1))
+                if wj == wi - 1:
+                    break
+                best = wj
     return tuple(out)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from zipcone import bruhat, kernels
 from zipcone.bruhat import (
     PairClass,
     admissible_pairs,
@@ -21,6 +24,7 @@ from zipcone.weylroot import (
     compose,
     levi_elements,
     positive_roots,
+    random_element,
     reflection,
     weyl_elements,
 )
@@ -182,6 +186,30 @@ def test_gamma_bijection_exhaustive(n):
         assert [reference_gamma(p.i, p.j, w) for p in all_pairs] == [
             None if p.cls is PairClass.OTHER else gamma(p, w) for p in all_pairs
         ]
+
+
+def test_oracle_calls_no_admissible_pair_code(monkeypatch):
+    calls = {"admissible_pairs": 0, "_pair_roots": 0}
+
+    def count_calls(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count_calls(kernels, "admissible_pairs")
+    count_calls(bruhat, "_pair_roots")
+    rng = random.Random(6)
+    elems = [canonical_elements(6).w0, canonical_elements(6).wmax]
+    elems += [random_element(6, rng) for _ in range(20)]
+    oracle = [lower_neighbors_oracle(w) for w in elems]
+    assert calls == {"admissible_pairs": 0, "_pair_roots": 0}
+    # positive control: the wrappers do see the admissible-pair route
+    assert [lower_neighbors(w) for w in elems] == oracle
+    assert calls == {"admissible_pairs": len(elems), "_pair_roots": len(elems)}
 
 
 @pytest.mark.parametrize("n", [2, 3])

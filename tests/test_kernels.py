@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from zipcone import kernels
 from zipcone.sweeps import gamma_suite, lmin_oracle_suite
 from zipcone.weylroot import (
+    Root,
     positive_roots,
     random_element,
     reflection_swaps,
@@ -52,36 +53,64 @@ def test_length_change_matches_length_sampled(n, seed):
 
 
 def assert_length_changes_match(win, n):
-    table = reflection_swaps(n)
-    expected = [kernels.length_change(win, swaps) for swaps in table.values()]
-    assert kernels.length_changes(win, table.values()) == expected, win
+    expected = [kernels.length_change(win, swaps) for swaps in reflection_swaps(n).values()]
+    assert kernels.length_changes(win) == expected, win
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_length_changes_match_length_change_exhaustive(n):
     for w in weyl_elements(n):
         assert_length_changes_match(w.window, n)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_length_changes_match_length_change_sampled(n, seed):
     assert_length_changes_match(random_element(n, random.Random(seed)).window, n)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
-def test_length_changes_on_arbitrary_swap_pairs(data, n, seed):
-    # every relative placement of two swaps on four distinct positions, not
-    # only the disjoint and nested ones that reflections use
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_length_changes_match_length_difference_sampled(n, seed):
+    # against l(w*s_alpha) - l(w) on whole windows, sharing no counting
+    # with length_change
     win = random_element(n, random.Random(seed)).window
-    positions = st.lists(st.integers(1, 2 * n), min_size=4, max_size=4, unique=True)
-    swaps_list = []
-    for a, b, c, d in data.draw(st.lists(positions, min_size=1, max_size=8)):
-        swaps_list.append(((min(a, b), max(a, b)), (min(c, d), max(c, d))))
-        swaps_list.append(((min(a, b), max(a, b)),))
-    expected = [kernels.length_change(win, swaps) for swaps in swaps_list]
-    assert kernels.length_changes(win, swaps_list) == expected
+    lw = kernels.length(win)
+    windows = reflection_windows(n)
+    expected = [kernels.length(kernels.compose(win, windows[alpha])) - lw for alpha in windows]
+    assert kernels.length_changes(win) == expected
+
+
+def test_length_changes_sum_root_regressions():
+    # e1+e2 at n = 2: doubling the first swap's change (1 + 2c) + h gives 4
+    # on the identity, and (1 + 2c) alone gives 1 on (2, 1, 4, 3)
+    sum_root = list(reflection_swaps(2)).index(Root.sum(1, 2))
+    for win in ((1, 2, 3, 4), (2, 1, 4, 3)):
+        assert kernels.length_changes(win)[sum_root] == 3
+        assert kernels.length_change(win, reflection_swaps(2)[Root.sum(1, 2)]) == 3
+
+
+def admissible_pairs_by_definition(w):
+    m = len(w)
+    return tuple(
+        (i + 1, j + 1)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if w[i] > w[j] and not any(w[j] < w[k] < w[i] for k in range(i + 1, j))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(perm=st.integers(1, 14).flatmap(lambda m: st.permutations(range(1, m + 1))))
+def test_admissible_pairs_match_definition_on_permutations(perm):
+    w = tuple(perm)
+    assert kernels.admissible_pairs(w) == admissible_pairs_by_definition(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_admissible_pairs_match_definition_exhaustive(n):
+    for w in weyl_elements(n):
+        assert kernels.admissible_pairs(w.window) == admissible_pairs_by_definition(w.window), w
 
 
 def test_reflection_swaps_table():
