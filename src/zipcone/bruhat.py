@@ -4,7 +4,8 @@ Lower neighbors are computed two ways: combinatorially from admissible
 pairs of the window, through a per-rank table from position pairs to
 roots, and by the brute-force definition (a length drop of one under a
 positive reflection).  The two must agree; the sweeps and
-the acceptance suite check this exhaustively.
+the acceptance suite check this exhaustively.  Both give E_w as a root
+bitmask: bit k stands for `positive_roots(n)[k]`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
-from . import kernels, linalg
+from . import kernels
 from .weylroot import (
     Root,
     WeylElem,
@@ -24,8 +25,9 @@ from .weylroot import (
     levi_simple_roots,
     non_levi_positive_roots,
     reflection,
-    reflection_swaps,
+    root_index,
     root_order,
+    root_table,
 )
 
 
@@ -67,26 +69,28 @@ def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
 
 
 @functools.lru_cache(maxsize=32)
-def _pair_roots(n: int) -> Mapping[tuple[int, int], tuple[PairClass, Root, int]]:
+def _pair_roots(n: int) -> Mapping[tuple[int, int], tuple[PairClass, Root, int, int]]:
     """Every 1-based position pair (i, j), i < j, i <= n, mapped to its
-    class, its root and the largest w(i) the class allows: E1 (j <= n) to
-    e_i - e_j, E3 (j = 2n+1-i) to 2e_i, and every other pair to e_i + e_k,
-    k = 2n+1-j, under E2.  E2 needs w(i) <= n and w(j) <= n; on an
-    admissible pair w(j) < w(i), so the bound n on w(i) is the whole test,
-    and E1 and E3 carry the bound 2n that every value meets.  Pairs with
-    i > n are in no class and absent.  Built once per rank, on first use;
-    read-only, since every caller shares it."""
+    class, its root, the largest w(i) the class allows and the root's bit
+    (1 << its index in `positive_roots(n)`): E1 (j <= n) to e_i - e_j, E3
+    (j = 2n+1-i) to 2e_i, and every other pair to e_i + e_k, k = 2n+1-j,
+    under E2.  E2 needs w(i) <= n and w(j) <= n; on an admissible pair
+    w(j) < w(i), so the bound n on w(i) is the whole test, and E1 and E3
+    carry the bound 2n that every value meets.  Pairs with i > n are in no
+    class and absent.  Built once per rank, on first use; read-only, since
+    every caller shares it."""
     m = 2 * n
     table = {}
     for i in range(1, n + 1):
         for j in range(i + 1, m + 1):
             if j <= n:
-                table[i, j] = (PairClass.E1, Root.diff(i, j), m)
+                cls, root, bound = PairClass.E1, Root.diff(i, j), m
             elif j == m + 1 - i:
-                table[i, j] = (PairClass.E3, Root.long(i), m)
+                cls, root, bound = PairClass.E3, Root.long(i), m
             else:
                 k = m + 1 - j
-                table[i, j] = (PairClass.E2, Root.sum(min(i, k), max(i, k)), n)
+                cls, root, bound = PairClass.E2, Root.sum(min(i, k), max(i, k)), n
+            table[i, j] = (cls, root, bound, 1 << root_index(n, *root_order(root)))
     return MappingProxyType(table)
 
 
@@ -110,28 +114,50 @@ def gamma(pair: AdmissiblePair, w: WeylElem) -> Root:
     return entry[1]
 
 
+def mask_bits(mask: int) -> list[int]:
+    """The indices of the set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_roots(n: int, mask: int) -> frozenset[Root]:
+    """The roots of a rank-n root bitmask."""
+    table = root_table(n)
+    return frozenset([table[k] for k in mask_bits(mask)])
+
+
 @dataclass(frozen=True)
 class NeighborSet:
-    """The set E_w of positive roots alpha with w*s_alpha covered by w."""
+    """The set E_w of positive roots alpha with w*s_alpha covered by w, as a
+    root bitmask: bit k is set when `positive_roots(n)[k]` is in E_w."""
 
     owner: WeylElem
-    roots: frozenset[Root]
+    mask: int
+
+    @functools.cached_property
+    def roots(self) -> frozenset[Root]:
+        return mask_roots(self.owner.n, self.mask)
 
 
-def lower_neighbor_roots(window) -> list[Root]:
-    """E_w of a raw window: the root of each classed admissible pair."""
+def lower_neighbor_mask(window) -> int:
+    """E_w of a raw window: the bits of the roots of its classed admissible
+    pairs."""
     table = _pair_roots(len(window) // 2)
-    out = []
+    mask = 0
     for pair in kernels.admissible_pairs(window):
         entry = table.get(pair)
         if entry is not None and window[pair[0] - 1] <= entry[2]:
-            out.append(entry[1])
-    return out
+            mask |= entry[3]
+    return mask
 
 
 def lower_neighbors(w: WeylElem) -> NeighborSet:
     """E_w computed from the classed admissible pairs."""
-    return NeighborSet(w, frozenset(lower_neighbor_roots(w.window)))
+    return NeighborSet(w, lower_neighbor_mask(w.window))
 
 
 def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:
@@ -144,20 +170,89 @@ def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:
     It works on the raw window: one `kernels.length_changes` pass builds the
     window's prefix value masks in O(n) and reads each root's length change
     off them in O(1) word operations, O(n^2) in all, without building
-    w * s_alpha; mirror symmetry lets it evaluate one swap per root.
+    w * s_alpha; mirror symmetry lets it evaluate one swap per root.  The
+    changes come in the order of `positive_roots`, so the k-th one is bit k.
     """
-    changes = kernels.length_changes(w.window)
-    roots = reflection_swaps(w.n)
-    return NeighborSet(w, frozenset([alpha for alpha, d in zip(roots, changes) if d == -1]))
+    mask = 0
+    for k, change in enumerate(kernels.length_changes(w.window)):
+        if change == -1:
+            mask |= 1 << k
+    return NeighborSet(w, mask)
+
+
+@functools.lru_cache(maxsize=32)
+def _coroot_edges(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Bit k of a rank-n root bitmask as an edge (u, v, odd) of a signed
+    graph on the 0-based indices: the coroot e_u - e_v is an even edge, e_u +
+    e_v an odd one, and e_u an odd loop at u, which spans what the vector
+    e_u - (-e_u) = 2e_u spans.  Read-only, built once per rank."""
+    edges = []
+    for alpha in root_table(n):
+        (u, _), *rest = alpha.coroot
+        v, c = rest[0] if rest else (u, 1)
+        edges.append((u, v, int(c == 1)))
+    return tuple(edges)
+
+
+def _find(parent: list[int], parity: list[int], v: int) -> tuple[int, int]:
+    """The root of v's tree and the parity of v's path to it; the path is
+    compressed, every vertex on it then pointing at the root."""
+    path = []
+    while parent[v] != v:
+        path.append(v)
+        v = parent[v]
+    odd = 0
+    for x in reversed(path):  # from the root's child down to the start
+        odd ^= parity[x]
+        parity[x] = odd
+        parent[x] = v
+    return v, odd
 
 
 def is_separating(neighbors: NeighborSet) -> bool:
     """Whether the coroot functionals of E_w are linearly independent over
     Q; takes the `NeighborSet` the caller already holds, so E_w is not
-    computed twice."""
+    computed twice.
+
+    The coroots e_u - e_v, e_u + e_v and e_u are the edge vectors of a
+    signed graph (see `_coroot_edges`), and a set of them is independent
+    exactly when it is independent in the graph's frame matroid (Zaslavsky,
+    Signed graphs, Discrete Appl. Math. 4, 1982): no connected component
+    holds a balanced cycle (an even number of odd edges), and none holds more
+    than one unbalanced cycle, each loop counting as one.  A union-find over
+    the n indices that keeps every vertex's parity to its root adds the
+    edges one by one and stops at the first that breaks this: in
+    O(n alpha(n)), since a set of more than n edges is dependent, so at most
+    n + 1 edges are read.
+    """
     n = neighbors.owner.n
-    rows = [alpha.coroot_row(n) for alpha in sorted(neighbors.roots, key=root_order)]
-    return linalg.rank(rows) == len(rows)
+    edges = _coroot_edges(n)
+    parent = list(range(n))
+    parity = [0] * n  # parity of the path from a vertex to its parent
+    size = [1] * n
+    unbalanced = [False] * n  # at a root: its component holds an unbalanced cycle
+    for k in mask_bits(neighbors.mask):
+        u, v, odd = edges[k]
+        ru, pu = _find(parent, parity, u)
+        rv, pv = _find(parent, parity, v)
+        cycle = pu ^ pv ^ odd
+        if ru == rv:
+            # the edge closes a cycle of this parity
+            if not cycle or unbalanced[ru]:
+                return False
+            unbalanced[ru] = True
+        else:
+            # merging two components that each hold an unbalanced cycle
+            # leaves more edges than vertices
+            if unbalanced[ru] and unbalanced[rv]:
+                return False
+            if size[ru] > size[rv]:
+                ru, rv = rv, ru
+            parent[ru] = rv
+            parity[ru] = cycle
+            size[rv] += size[ru]
+            unbalanced[rv] = unbalanced[rv] or unbalanced[ru]
+    return True
 
 
 def is_min_rep(w: WeylElem) -> bool:

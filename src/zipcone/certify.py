@@ -35,7 +35,7 @@ from .cones import (
     sparse_value,
     support,
 )
-from .hasse import PathStep, descent_path
+from .hasse import PathReport, PathStep, _Fragments, _json_list, descent_path
 from .weylroot import Character, Root, WeylElem
 
 
@@ -85,8 +85,8 @@ class Certificate:
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
-    def _head(self) -> dict:
-        """Every top-level field but the checks."""
+    def to_json_dict(self) -> dict:
+        """The structured view, and the reference for `to_json`."""
         return {
             "n": self.n,
             "p": self.p,
@@ -106,30 +106,30 @@ class Certificate:
             "base_generators": [str(g) for g in self.base_generators],
             "ha_weights": [str(h) for h in self.ha_weights],
             "verdict": self.verdict,
+            "checks": [c.to_json_dict() for c in self.checks],
         }
 
-    def to_json_dict(self) -> dict:
-        """The structured view, and the reference for `to_json`."""
-        return {**self._head(), "checks": [c.to_json_dict() for c in self.checks]}
-
-    def to_json(self, path_report: Optional[dict] = None) -> str:
+    def to_json(self, path_report: Optional[PathReport] = None) -> str:
         """The text of `json.dumps(payload, indent=2, sort_keys=True)`, where
-        the payload is `to_json_dict()` plus `path_report` as a top-level
-        key when one is given, rendered without building the payload.
+        the payload is `to_json_dict()` plus `path_report.to_json_dict()` as
+        a top-level key when a report is given, rendered without building
+        the payload.
 
         The checks repeat a few dozen functional rows and far fewer
         generators than checks, so each distinct row, generator, label and
         (ok, value) ending is rendered once, and every check is one f-string
         over those fragments, with its keys in sorted order; multipliers,
-        where a check has them, are rendered in place.  Everything else goes
-        through `json.dumps` and is moved to its depth by indenting every
-        line after the first; that is exact because JSON strings never hold
-        a raw newline.  The text is joined once from its pieces, since every
+        where a check has them, are rendered in place.  Every string is
+        quoted once by `json.dumps`, and the path steps and the generator
+        lists are f-strings over those quotes too; the path report is its
+        own `to_json`.  A value is moved to its depth by indenting every line
+        after the first; that is exact because JSON strings never hold a
+        raw newline.  The text is joined once from its pieces, since every
         further concatenation would copy all of it again.
         """
+        quoted = _Fragments(json.dumps)
         rows = _Fragments(lambda row: _indented(list(row), 3))
-        gens = _Fragments(lambda gen: _indented(str(gen), 3))
-        labels = _Fragments(lambda label: _indented(label, 3))
+        gens = _Fragments(lambda gen: quoted[str(gen)])
         tails = _Fragments(_tail)
         gen, gen_text = None, "null"
         gens[None] = gen_text
@@ -145,13 +145,26 @@ class Certificate:
             checks += (
                 ",\n    ",
                 f'{{\n      "functional": {rows[c.functional]},\n      "generator": {gen_text},'
-                f'\n      "label": {labels[c.label]},{mults}{tails[c.ok, c.value]}',
+                f'\n      "label": {quoted[c.label]},{mults}{tails[c.ok, c.value]}',
             )
-        head = self._head()
+        path = [
+            f'{{\n      "beta": {quoted[str(s.beta)]},\n      "chi": {quoted[str(s.chi)]},'
+            f'\n      "d": {s.d},\n      "first_term_relation": {quoted[s.first_term_relation]},'
+            f'\n      "ha": {quoted[str(s.ha)]},\n      "ha_closed_form": {quoted[str(s.ha_closed_form)]},'
+            f'\n      "i": {s.i},\n      "window": {quoted[str(s.w)]}\n    }}'
+            for s in self.path
+        ]
+        fields = {
+            "n": [json.dumps(self.n)],
+            "p": [json.dumps(self.p)],
+            "path": [_json_list(path, 1)],
+            "base_generators": [_json_list([quoted[str(g)] for g in self.base_generators], 1)],
+            "ha_weights": [_json_list([quoted[str(h)] for h in self.ha_weights], 1)],
+            "verdict": [json.dumps(self.verdict)],
+            "checks": ["[\n    ", *checks[1:], "\n  ]"] if checks else ["[]"],
+        }
         if path_report is not None:
-            head["path_report"] = path_report
-        fields = {k: [_indented(v, 1)] for k, v in head.items()}
-        fields["checks"] = ["[\n    ", *checks[1:], "\n  ]"] if checks else ["[]"]
+            fields["path_report"] = [path_report.to_json().replace("\n", "\n  ")]
         parts = []
         for k in sorted(fields):
             parts += (",\n", f'  "{k}": ', *fields[k])
@@ -206,19 +219,6 @@ class Certificate:
 def _indented(value, depth: int) -> str:
     """`value` as indented, key-sorted JSON, placed `depth` levels deep."""
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-
-
-class _Fragments(dict):
-    """Text fragments of a check, each rendered on its first lookup by
-    `render(key)`."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key) -> str:
-        text = self[key] = self.render(key)
-        return text
 
 
 def _tail(key: tuple) -> str:

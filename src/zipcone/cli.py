@@ -260,7 +260,9 @@ def _cmd_path(args) -> int:
     if args.n > MAX_PATH_RANK:
         raise UsageError(f"--n must be at most {MAX_PATH_RANK}, got {args.n}")
     report = verify_path_lemmas(args.n, args.p)
-    payload = report.to_json_dict()
+    if args.json:
+        print(report.to_json())
+        return 0 if report.all_passed else 1
     lines = []
     for s in report.steps:
         lines.append(
@@ -272,7 +274,7 @@ def _cmd_path(args) -> int:
             + ("" if s.matches_reference else f"  (beyond closed form: {', '.join(s.extra_vs_reference)})")
         )
     lines.append("all step checks passed" if report.all_passed else "STEP CHECKS FAILED")
-    _emit(payload, args.json, lines)
+    print("\n".join(lines))
     return 0 if report.all_passed else 1
 
 
@@ -352,7 +354,7 @@ def _cmd_verify_theorem(args) -> int:
             return _refuse_out(args.out, exc)
     cert = envelope_certificate(args.n, args.p)
     # the report checks the certificate's own path instead of walking it again
-    report = check_path_steps(cert.n, cert.p, cert.path).to_json_dict() if args.path_report else None
+    report = check_path_steps(cert.n, cert.p, cert.path) if args.path_report else None
     # one text for stdout and --out
     text = cert.to_json(report) if args.json or args.out else None
     if args.out:

@@ -18,17 +18,26 @@ step against the weight it reads off the windows.
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels, linalg
-from .bruhat import is_separating, lower_neighbors, lower_neighbors_oracle
+from .bruhat import (
+    is_separating,
+    lower_neighbors,
+    lower_neighbors_oracle,
+    mask_bits,
+    mask_roots,
+)
 from .cones import lmin_member
 from .weylroot import (
     AnyCharacter,
     Character,
     RatCharacter,
     Root,
+    RootKind,
     WeylElem,
     act,
     canonical_elements,
@@ -36,7 +45,9 @@ from .weylroot import (
     pairing,
     reflection,
     reflection_swaps,
+    root_index,
     root_order,
+    root_table,
 )
 
 
@@ -300,33 +311,42 @@ def eset_reference(n: int, d: int, i: int) -> frozenset[Root]:
     For d <= n-2 this is exact.  For d = n-1 it keeps the difference tail
     {e_k - e_n : i+1 <= k <= n-1} and the long root 2e_n but omits the long
     roots 2e_k for k <= i, which direct computation shows do occur;
-    eset_verified restores them.
+    eset_verified restores them.  The set is read off `_reference_mask`.
     """
+    return mask_roots(n, _reference_mask(n, d, i))
+
+
+def _reference_mask(n: int, d: int, i: int) -> int:
+    """`eset_reference(n, d, i)` as a root bitmask."""
     if not (1 <= d <= n - 1 and 0 <= i <= d - 1):
         raise ValueError(f"bad step index ({d}, {i}) for rank {n}")
-    roots: set[Root] = set()
+
+    def diff(k: int, j: int) -> int:
+        return 1 << root_index(n, RootKind.DIFF, k, j)
+
+    mask = 0
     if d + 2 <= n:
         for k in range(1, i + 1):
-            roots.add(Root.diff(k, d + 2))
-        roots.add(Root.diff(d + 1, d + 2))
+            mask |= diff(k, d + 2)
+        mask |= diff(d + 1, d + 2)
     for k in range(i + 1, d + 1):
-        roots.add(Root.diff(k, d + 1))
+        mask |= diff(k, d + 1)
     for k in range(d + 2, n):
-        roots.add(Root.diff(k, k + 1))
-    roots.add(Root.long(n))
-    return frozenset(roots)
+        mask |= diff(k, k + 1)
+    return mask | 1 << root_index(n, RootKind.LONG, n)
 
 
-def _restored_long_roots(n: int, d: int, i: int) -> frozenset[Root]:
-    """The long roots 2e_k (k <= i) that the reference set omits at d = n-1."""
-    return frozenset(Root.long(k) for k in range(1, i + 1)) if d == n - 1 else frozenset()
+def _restored_long_mask(n: int, d: int, i: int) -> int:
+    """The long roots 2e_k (k <= i) that the reference set omits at d = n-1,
+    as a root bitmask: bits n(n-1) .. n(n-1) + i - 1."""
+    return ((1 << i) - 1) << root_index(n, RootKind.LONG, 1) if d == n - 1 else 0
 
 
 def eset_verified(n: int, d: int, i: int) -> frozenset[Root]:
     """The computationally verified closed form: the reference set, plus the
     long roots 2e_k (k <= i) that appear when d = n-1.  Every path element
     has exactly n lower neighbors."""
-    return eset_reference(n, d, i) | _restored_long_roots(n, d, i)
+    return mask_roots(n, _reference_mask(n, d, i) | _restored_long_mask(n, d, i))
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +417,76 @@ class PathReport:
             "reference_mismatches": [list(t) for t in self.reference_mismatches],
         }
 
+    def to_json(self) -> str:
+        """The text of `json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True)`, written directly: `indent` would send the payload
+        through CPython's pure-Python encoder.  Each step is one f-string
+        with its keys in sorted order, written at the step's depth; each
+        distinct string is quoted once, through `json.dumps`, and each
+        distinct root list rendered once."""
+        quoted = _Fragments(json.dumps)
+        lists = _Fragments(lambda items: _json_list([quoted[a] for a in items], 3))
+        steps = [
+            "{"
+            f'\n      "chi_orthogonal": {_BOOL[s.chi_orthogonal]},'
+            f'\n      "closed_form_in_lmin": {_BOOL[s.closed_form_in_lmin]},'
+            f'\n      "closed_form_weight": {quoted[s.closed_form_weight]},'
+            f'\n      "computed_eset": {lists[s.computed_eset]},'
+            f'\n      "d": {s.d},'
+            f'\n      "extra_vs_reference": {lists[s.extra_vs_reference]},'
+            f'\n      "first_term_relation": {quoted[s.first_term_relation]},'
+            f'\n      "i": {s.i},'
+            f'\n      "matches_reference": {_BOOL[s.matches_reference]},'
+            f'\n      "matches_verified": {_BOOL[s.matches_verified]},'
+            f'\n      "oracle_agrees": {_BOOL[s.oracle_agrees]},'
+            f'\n      "passed": {_BOOL[s.passed]},'
+            f'\n      "pipeline_in_lmin": {_BOOL[s.pipeline_in_lmin]},'
+            f'\n      "pipeline_weight": {quoted[s.pipeline_weight]},'
+            f'\n      "reference_eset": {lists[s.reference_eset]},'
+            f'\n      "second_term_agrees": {_BOOL[s.second_term_agrees]},'
+            f'\n      "separating": {_BOOL[s.separating]},'
+            f'\n      "verified_eset": {lists[s.verified_eset]},'
+            f'\n      "window": {quoted[s.window]}'
+            "\n    }"
+            for s in self.steps
+        ]
+        mismatches = [_json_list([str(d), str(i)], 2) for d, i in self.reference_mismatches]
+        return (
+            f'{{\n  "all_passed": {_BOOL[self.all_passed]},\n  "n": {self.n},\n  "p": {self.p},'
+            f'\n  "reference_mismatches": {_json_list(mismatches, 1)},'
+            f'\n  "steps": {_json_list(steps, 1)}\n}}'
+        )
 
-def _root_strs(roots) -> tuple[str, ...]:
-    return tuple(str(a) for a in sorted(roots, key=root_order))
+
+_BOOL = {True: "true", False: "false"}
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A list of rendered JSON values as `json.dumps(indent=2)` writes it
+    `depth` levels deep; each item already carries the indentation of its
+    own later lines."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return f"[{pad}{(',' + pad).join(items)}\n{'  ' * depth}]"
+
+
+class _Fragments(dict):
+    """Text fragments, each rendered on its first lookup by `render(key)`."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.render(key)
+        return text
+
+
+@functools.lru_cache(maxsize=32)
+def _root_names(n: int) -> tuple[str, ...]:
+    """The text of each rank-n root, indexed like a root bitmask."""
+    return tuple(map(str, root_table(n)))
 
 
 def verify_path_lemmas(n: int, p: int) -> PathReport:
@@ -414,21 +501,31 @@ def check_path_steps(n: int, p: int, steps) -> PathReport:
     and the brute-force oracle, the separating property, the cutting
     character's orthogonality, and both weight variants' membership in the
     orbit-inequality cone.  Failures become report entries, not exceptions.
-    E_w is rendered once per step; a closed form equal to it reuses that
-    text."""
+    The neighbor sets are compared as root bitmasks, and E_w is rendered
+    once per step; a closed form equal to it reuses that text."""
+    table = root_table(n)
+    names = _root_names(n)
+
+    def strs(mask: int) -> tuple[str, ...]:
+        return tuple([names[k] for k in mask_bits(mask)])
+
     reports = []
     for step in steps:
         neighbors = lower_neighbors(step.w)
-        computed = neighbors.roots
-        oracle = lower_neighbors_oracle(step.w).roots
-        reference = eset_reference(n, step.d, step.i)
-        verified = reference | _restored_long_roots(n, step.d, step.i)
-        computed_strs = _root_strs(computed)
-        others = [a for a in computed if a != step.beta]
+        computed = neighbors.mask
+        oracle = lower_neighbors_oracle(step.w).mask
+        reference = _reference_mask(n, step.d, step.i)
+        verified = reference | _restored_long_mask(n, step.d, step.i)
+        bits = mask_bits(computed)
+        computed_strs = tuple([names[k] for k in bits])
+        # the bit the step root would have at rank n; the table check catches a
+        # root from a certificate that does not fit the rank
+        beta = root_index(n, *root_order(step.beta))
         orthogonal = (
-            step.beta in computed
+            computed >> beta & 1 == 1
+            and table[beta] == step.beta
             and pairing(step.chi, step.beta) == 1
-            and all(pairing(step.chi, a) == 0 for a in others)
+            and all(pairing(step.chi, table[k]) == 0 for k in bits if k != beta)
         )
         reports.append(
             StepReport(
@@ -436,11 +533,11 @@ def check_path_steps(n: int, p: int, steps) -> PathReport:
                 i=step.i,
                 window=str(step.w),
                 computed_eset=computed_strs,
-                reference_eset=computed_strs if computed == reference else _root_strs(reference),
-                verified_eset=computed_strs if computed == verified else _root_strs(verified),
+                reference_eset=computed_strs if computed == reference else strs(reference),
+                verified_eset=computed_strs if computed == verified else strs(verified),
                 matches_reference=computed == reference,
                 matches_verified=computed == verified,
-                extra_vs_reference=_root_strs(computed - reference),
+                extra_vs_reference=strs(computed & ~reference),
                 oracle_agrees=computed == oracle,
                 separating=is_separating(neighbors),
                 chi_orthogonal=orthogonal,

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import kernels, linalg
-from .bruhat import lower_neighbor_roots, lower_neighbors, lower_neighbors_oracle
+from .bruhat import lower_neighbor_mask, lower_neighbors, lower_neighbors_oracle, mask_bits
 from .cones import (
     dominance_functionals,
     farkas_implies,
@@ -72,7 +72,7 @@ def _gamma_chunk(windows):
     bad = []
     for win in windows:
         w = WeylElem._trusted(win)
-        if lower_neighbors(w).roots != lower_neighbors_oracle(w).roots:
+        if lower_neighbors(w).mask != lower_neighbors_oracle(w).mask:
             bad.append(str(w))
     return len(windows), bad
 
@@ -104,15 +104,17 @@ def cover_closure_bits(windows: list[tuple[int, ...]]) -> list[int]:
     the lower-neighbor relation, so each mask is its own bit or-ed with the
     masks of its lower neighbors w*s_alpha, filled in order of length.
     Works on raw windows and integer indices; the windows must be the whole
-    group of one rank, so that every lower neighbor is among them."""
-    refl = reflection_windows(len(windows[0]) // 2)
+    group of one rank, so that every lower neighbor is among them.  Each
+    bit of a window's neighbor mask indexes the reflection windows, which
+    come in the same root order."""
+    refl = tuple(reflection_windows(len(windows[0]) // 2).values())
     index = {win: k for k, win in enumerate(windows)}
     bits = [0] * len(windows)
     for k in sorted(range(len(windows)), key=lambda k: kernels.length(windows[k])):
         win = windows[k]
         mask = 1 << k
-        for alpha in lower_neighbor_roots(win):
-            mask |= bits[index[kernels.compose(win, refl[alpha])]]
+        for b in mask_bits(lower_neighbor_mask(win)):
+            mask |= bits[index[kernels.compose(win, refl[b])]]
         bits[k] = mask
     return bits
 

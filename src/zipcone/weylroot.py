@@ -277,6 +277,24 @@ def positive_roots(n: int) -> list[Root]:
     return levi_positive_roots(n) + non_levi_positive_roots(n)
 
 
+@functools.lru_cache(maxsize=32)
+def root_table(n: int) -> tuple[Root, ...]:
+    """`positive_roots(n)` as a tuple, built once per rank and shared: entry
+    k is the root of bit k in a root bitmask."""
+    return tuple(positive_roots(n))
+
+
+def root_index(n: int, kind: RootKind, i: int, j: int = 0) -> int:
+    """The position of the root (kind, i, j) in `positive_roots(n)`, which is
+    its bit in a root bitmask: the n(n-1)/2 differences, then as many sums,
+    each family with (i, j) in lexicographic order, then the n long roots.
+    Before (i, j) come (i-1)(2n-i)/2 pairs with a smaller first index."""
+    if kind is RootKind.LONG:
+        return n * (n - 1) + i - 1
+    k = (i - 1) * (2 * n - i) // 2 + j - i - 1
+    return k if kind is RootKind.DIFF else k + n * (n - 1) // 2
+
+
 def levi_positive_roots(n: int) -> list[Root]:
     """The difference roots: positive roots of the Levi subgroup."""
     return [Root.diff(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]

@@ -1,9 +1,13 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zipcone import bruhat, kernels
+from zipcone import bruhat, kernels, linalg
 from zipcone.bruhat import (
+    NeighborSet,
     PairClass,
     admissible_pairs,
     bruhat_leq,
@@ -26,6 +30,7 @@ from zipcone.weylroot import (
     positive_roots,
     random_element,
     reflection,
+    reflection_swaps,
     weyl_elements,
 )
 
@@ -225,6 +230,70 @@ def test_covers_drop_length_by_exactly_one(n):
 def test_is_separating_examples():
     assert is_separating(lower_neighbors(WeylElem.identity(3)))
     assert is_separating(lower_neighbors(WeylElem.parse("4 3 2 1")))
+
+
+def independent_by_rank(roots, n) -> bool:
+    """The reference: the dense coroot rows have full rank."""
+    rows = [alpha.coroot_row(n) for alpha in roots]
+    return linalg.rank(rows) == len(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_is_separating_matches_rank_on_every_neighbor_set(n):
+    seen = set()
+    for w in weyl_elements(n):
+        neighbors = lower_neighbors(w)
+        separating = is_separating(neighbors)
+        assert separating == independent_by_rank(neighbors.roots, n), w
+        seen.add(separating)
+    # every neighbor set of rank at most 2 is separating
+    assert seen == ({True} if n <= 2 else {True, False})
+
+
+def test_is_separating_matches_rank_on_random_root_sets():
+    """Subsets of up to n + 1 roots, so that dependent sets of every size
+    occur: balanced cycles, two unbalanced cycles in one component, and
+    the loops of the long roots."""
+    seen = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 8))
+        bits = data.draw(st.lists(st.integers(0, n * n - 1), max_size=n + 1, unique=True))
+        neighbors = NeighborSet(WeylElem.identity(n), sum(1 << k for k in bits))
+        roots = [positive_roots(n)[k] for k in bits]
+        separating = is_separating(neighbors)
+        assert separating == independent_by_rank(roots, n)
+        seen.add(separating)
+
+    check()
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_is_separating_matches_rank_on_every_small_root_set(n):
+    """Every set of at most n + 1 roots.  The test reads the roots in bit
+    order, so two unbalanced components can meet only when a later sum edge
+    joins them, as e3+e4 joins {e1-e3, e1+e3} and {e2-e4, e2+e4} at n = 4;
+    random subsets rarely have that shape."""
+    roots = positive_roots(n)
+    for size in range(n + 2):
+        for bits in itertools.combinations(range(n * n), size):
+            neighbors = NeighborSet(WeylElem.identity(n), sum(1 << k for k in bits))
+            assert is_separating(neighbors) == independent_by_rank([roots[k] for k in bits], n), bits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_neighbor_set_roots_decode_the_root_set_construction(n):
+    """`NeighborSet.roots`, decoded from the mask, against the Root sets both
+    routes built before they returned masks."""
+    for w in weyl_elements(n):
+        by_pairs = frozenset(gamma(p, w) for p in admissible_pairs(w) if p.cls is not PairClass.OTHER)
+        changes = kernels.length_changes(w.window)
+        by_oracle = frozenset(alpha for alpha, d in zip(reflection_swaps(n), changes) if d == -1)
+        assert lower_neighbors(w).roots == by_pairs
+        assert lower_neighbors_oracle(w).roots == by_oracle
 
 
 def test_non_separating_elements_exist():

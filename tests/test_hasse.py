@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from zipcone.hasse import (
     eset_reference,
     eset_verified,
     ha_closed_form,
+    PathReport,
     hasse_map,
     pha_multiplicities,
     solve_chi,
@@ -336,3 +339,35 @@ def test_verify_path_lemmas_reference_gap_pattern(n):
     for s in report.steps:
         if s.d == n - 1 and s.i >= 1:
             assert s.extra_vs_reference == tuple(f"2e{k}" for k in range(1, s.i + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_path_report_to_json_matches_the_payload_dump(p):
+    # n = 1 has no steps
+    for n in range(1, 19):
+        report = verify_path_lemmas(n, p)
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+
+
+def test_path_report_to_json_matches_the_payload_dump_on_a_hand_built_report():
+    """Values the path never produces: false flags, a non-empty extra list,
+    reference mismatches, an empty root list and a string JSON escapes."""
+    real = verify_path_lemmas(3, 5)
+    step = real.steps[0]
+    failed = replace(
+        step,
+        computed_eset=(),
+        extra_vs_reference=("2e1", "e1+e2"),
+        matches_reference=False,
+        matches_verified=False,
+        oracle_agrees=False,
+        separating=False,
+        chi_orthogonal=False,
+        first_term_relation='other "quoted" \\ caf\u00e9',
+        second_term_agrees=False,
+        pipeline_in_lmin=False,
+        closed_form_in_lmin=False,
+    )
+    for report in (PathReport(3, 5, (failed,) + real.steps), PathReport(3, 5, (failed,))):
+        assert not report.all_passed and report.reference_mismatches
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True)

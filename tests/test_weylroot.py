@@ -24,7 +24,9 @@ from zipcone.weylroot import (
     random_element,
     reflection,
     root_image,
+    root_index,
     root_order,
+    root_table,
     simple_roots,
     weyl_elements,
     weyl_order,
@@ -44,6 +46,17 @@ def test_positive_roots_rank2():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_positive_roots_come_sorted(n):
     assert sorted(positive_roots(n)) == positive_roots(n)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_positive_roots_are_in_root_order_and_bit_order(n):
+    """A root bitmask's bit k is the k-th positive root, and both the kernel
+    (`length_changes`) and the neighbor masks rely on that order being the
+    root order."""
+    roots = positive_roots(n)
+    assert roots == sorted(roots, key=root_order)
+    assert root_table(n) == tuple(roots)
+    assert [root_index(n, *root_order(alpha)) for alpha in roots] == list(range(n * n))
 
 
 def _family_key(alpha):
