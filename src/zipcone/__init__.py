@@ -50,12 +50,9 @@ from .hasse import (
     StepReport,
     anchor_element,
     check_path_steps,
-    chi_is_valid,
     descent_path,
     ha_closed_form,
     hasse_map,
-    pha_multiplicities,
-    solve_chi,
     verify_path_lemmas,
 )
 from .cones import (

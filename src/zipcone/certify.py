@@ -120,15 +120,16 @@ class Certificate:
         (ok, value) ending is rendered once, and every check is one f-string
         over those fragments, with its keys in sorted order; multipliers,
         where a check has them, are rendered in place.  Every string is
-        quoted once by `json.dumps`, and the path steps and the generator
-        lists are f-strings over those quotes too; the path report is its
-        own `to_json`.  A value is moved to its depth by indenting every line
-        after the first; that is exact because JSON strings never hold a
-        raw newline.  The text is joined once from its pieces, since every
-        further concatenation would copy all of it again.
+        quoted once by `json.dumps`.  `_json_list` writes the functional
+        rows from their integer entries, and the multiplier lists, path steps
+        and generator lists over those quotes.  The path report is its own
+        `to_json`, moved to its depth by indenting every line after the
+        first; that is exact because JSON strings never hold a raw newline.
+        The text is joined once from its pieces, since every further
+        concatenation would copy all of it again.
         """
         quoted = _Fragments(json.dumps)
-        rows = _Fragments(lambda row: _indented(list(row), 3))
+        rows = _Fragments(lambda row: _json_list(list(map(str, row)), 3))
         gens = _Fragments(lambda gen: quoted[str(gen)])
         tails = _Fragments(_tail)
         gen, gen_text = None, "null"
@@ -140,7 +141,7 @@ class Certificate:
             if c.generator is not gen:
                 gen, gen_text = c.generator, gens[c.generator]
             mults = "" if c.multipliers is None else (
-                f'\n      "multipliers": {_indented([frac_str(m) for m in c.multipliers], 3)},'
+                f'\n      "multipliers": {_json_list([quoted[frac_str(m)] for m in c.multipliers], 3)},'
             )
             checks += (
                 ",\n    ",
@@ -214,11 +215,6 @@ class Certificate:
             checks=tuple(checks),
             verdict=data["verdict"],
         )
-
-
-def _indented(value, depth: int) -> str:
-    """`value` as indented, key-sorted JSON, placed `depth` levels deep."""
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
 def _tail(key: tuple) -> str:

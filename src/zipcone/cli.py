@@ -63,10 +63,15 @@ MAX_BRUHAT_EXHAUSTIVE_RANK = 4  # without --samples it checks all pairs
 MAX_ENUM_IW_RANK = 16  # enum-iw lists 2^n representatives
 MAX_SAMPLES = 100_000
 MAX_JOBS = 32  # sweep --jobs is the worker-process count of one Pool
-# path and verify-theorem grow polynomially, not exponentially: each limit
-# is the largest rank whose time is measured (README limits table)
+MAX_PRECEQ_RANK = 9  # bruhat --preceq visits all n! Levi elements
+# path, verify-theorem and cone-check grow polynomially, not exponentially:
+# each limit is the largest rank whose time is measured (README limits
+# table); cone-check's limits are the largest measured under about 5 s
 MAX_PATH_RANK = 64
 MAX_CERT_RANK = 64
+MAX_GS_RANK = 128
+MAX_PHA_WMAX_RANK = 224
+MAX_PHA_RANK = 300
 
 
 class UsageError(Exception):
@@ -282,6 +287,9 @@ def _cmd_cone_check(args) -> int:
     lam = _parse_char(args.lam)
     _check_rank_flag(args.n, lam, "--lambda")
     n = lam.n
+    limit = {"gs": MAX_GS_RANK, "pha-wmax": MAX_PHA_WMAX_RANK, "pha": MAX_PHA_RANK}.get(args.cone)
+    if limit is not None and n > limit:
+        raise UsageError(f"--cone {args.cone} needs rank at most {limit}, got {n}")
     if args.p is not None and args.p < 2:
         raise UsageError("p must be at least 2")
     extra: dict = {}
@@ -405,6 +413,8 @@ def _cmd_bruhat(args) -> int:
         f"{w2} <= {w1}: {str(payload['geq']).lower()}",
     ]
     if args.preceq:
+        if w1.n > MAX_PRECEQ_RANK:
+            raise UsageError(f"--preceq needs rank at most {MAX_PRECEQ_RANK}, got {w1.n}")
         if not (is_min_rep(w1) and is_min_rep(w2)):
             raise UsageError("--preceq needs minimal coset representatives")
         payload["preceq"] = preceq(w1, w2)

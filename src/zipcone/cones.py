@@ -326,7 +326,7 @@ class FarkasCertificate:
         else:
             # L * witness is integral for L the lcm of its denominators, and
             # L > 0 keeps the sign of every value, so integers decide both
-            witness, _ = linalg._cleared(self.witness)
+            witness = linalg._cleared(self.witness)
             for row in self.system:
                 if linalg.dot(row, witness) > 0:
                     raise AssertionError("witness violates the system")

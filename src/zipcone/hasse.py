@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import kernels, linalg
 from .bruhat import (
@@ -67,15 +66,6 @@ class HasseMap:
     p: int
     matrix: tuple[tuple[int, ...], ...]
 
-    def apply(self, chi: AnyCharacter) -> AnyCharacter:
-        if chi.n != self.w.n:
-            raise ValueError(f"rank mismatch: {chi.n} vs {self.w.n}")
-        vec = chi.vector()
-        out = tuple(linalg.dot(row, vec) for row in self.matrix)
-        if isinstance(chi, Character):
-            return Character(tuple(int(x) for x in out[:-1]), int(out[-1]))
-        return RatCharacter(out[:-1], out[-1])
-
     def inverse_apply(self, lam: AnyCharacter) -> RatCharacter:
         """Exact rational preimage."""
         if lam.n != self.w.n:
@@ -84,9 +74,6 @@ class HasseMap:
         if sol is None:
             raise AssertionError("weight map must be invertible")
         return RatCharacter(sol[:-1], sol[-1])
-
-    def determinant(self) -> Fraction:
-        return linalg.det(self.matrix)
 
 
 def hasse_map(w: WeylElem, p: int) -> HasseMap:
@@ -103,50 +90,6 @@ def hasse_map(w: WeylElem, p: int) -> HasseMap:
         cols.append(img.vector())
     matrix = tuple(tuple(cols[c][r] for c in range(dim)) for r in range(dim))
     return HasseMap(w, p, matrix)
-
-
-def pha_multiplicities(w: WeylElem, chi: AnyCharacter) -> dict[Root, int]:
-    """Vanishing orders of the weight-chi section on the boundary strata:
-    alpha -> <chi, alpha^vee> over the lower neighbors of w."""
-    return {alpha: pairing(chi, alpha) for alpha in lower_neighbors(w).roots}
-
-
-def chi_is_valid(w: WeylElem, beta: Root, chi: AnyCharacter) -> bool:
-    """Validator: positive pairing with beta, zero pairing with the rest of E_w."""
-    roots = lower_neighbors(w).roots
-    if beta not in roots:
-        return False
-    if pairing(chi, beta) <= 0:
-        return False
-    return all(pairing(chi, alpha) == 0 for alpha in roots if alpha != beta)
-
-
-def solve_chi(w: WeylElem, beta: Root) -> Character:
-    """Canonical integral character with minimal positive pairing against beta
-    and zero pairing against the rest of E_w.
-
-    The rational solution is taken inside the span of the coroot rows (zero
-    component along the orthogonal complement), scaled to the smallest
-    positive integral multiple; b is the parity-matching value of least
-    absolute value, ties resolved to the nonnegative one.
-    """
-    n = w.n
-    neighbors = lower_neighbors(w)
-    roots = sorted(neighbors.roots, key=root_order)
-    if beta not in roots:
-        raise ValueError(f"{beta} is not a lower-neighbor root of {w}")
-    if not is_separating(neighbors):
-        raise ValueError(f"{w} admits no separating system")
-    rows = [alpha.coroot_row(n) for alpha in roots]
-    target = [Fraction(1) if alpha == beta else Fraction(0) for alpha in roots]
-    gram = [[linalg.dot(r1, r2) for r2 in rows] for r1 in rows]
-    y = linalg.solve_square(gram, target)
-    if y is None:
-        raise AssertionError("separating rows must give an invertible Gram matrix")
-    x = [sum(y[k] * rows[k][c] for k in range(len(rows))) for c in range(n)]
-    a = linalg.primitive(x)
-    b = 0 if sum(a) % 2 == 0 else 1
-    return Character(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Everything here is exact and runs on integers; Fraction appears only in the
 answers.  The dimensions in this package are tiny (at most rank + 1).
-Rational rows are cleared of denominators on entry, and `rank`, `det` and
+Rational rows are cleared of denominators on entry, and `rank` and
 `solve_square` share one fraction-free (Bareiss) forward elimination.
 `farkas_split` is provenance-tracked Fourier-Motzkin elimination on integer
 rows, each derived row divided by the gcd of its entries: a search, used
@@ -15,7 +15,7 @@ checked exactly by `cones.FarkasCertificate`, and never call it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -39,31 +39,30 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _cleared(row: Sequence) -> tuple[list[int], int]:
-    """The row scaled by the lcm of its denominators, and that lcm."""
+def _cleared(row: Sequence) -> list[int]:
+    """The row scaled by the lcm of its denominators."""
     # one C-level pass: a generator of isinstance calls cost more than the
     # elimination on integral rows
     if all(map(int.__instancecheck__, row)):
-        return list(row), 1
+        return list(row)
     fr = [Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in fr))
-    return [x.numerator * (scale // x.denominator) for x in fr], scale
+    return [x.numerator * (scale // x.denominator) for x in fr]
 
 
-def _bareiss(mat: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+def _bareiss(mat: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free forward elimination of integer rows, in place, over the
-    first `ncols` columns: (pivot columns, sign of the row swaps, last pivot).
+    first `ncols` columns: (pivot columns, last pivot).
 
     After a pivot step every entry below the pivot row is a minor of the
     input, so the division by the previous pivot is exact; on a nonsingular
-    square matrix the last pivot is the determinant up to the swap sign.
+    square matrix the last pivot is the determinant up to sign.
     A row with 0 in the pivot column is left as it is when the pivot equals
     the previous one, since its update is then the identity: on sparse
     coroot rows that is nearly every row.
     """
     m = len(mat)
     pivots: list[int] = []
-    sign = 1
     prev = 1
     for col in range(ncols):
         r = len(pivots)
@@ -72,9 +71,7 @@ def _bareiss(mat: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
         piv = next((k for k in range(r, m) if mat[k][col]), None)
         if piv is None:
             continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
-            sign = -sign
+        mat[r], mat[piv] = mat[piv], mat[r]
         top = mat[r]
         pv = top[col]
         for k in range(r + 1, m):
@@ -84,12 +81,12 @@ def _bareiss(mat: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
             mat[k] = [(pv * x - a * y) // prev for x, y in zip(mat[k], top)]
         prev = pv
         pivots.append(col)
-    return pivots, sign, prev
+    return pivots, prev
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank of a rational matrix."""
-    mat = [_cleared(row)[0] for row in rows]
+    mat = [_cleared(row) for row in rows]
     return len(_bareiss(mat, len(mat[0]))[0]) if mat else 0
 
 
@@ -99,8 +96,8 @@ def solve_square(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
     Each augmented row is cleared of denominators.  By Cramer's rule d * x is
     integral, d the last pivot, so back-substitution stays in integers."""
     m = len(a)
-    mat = [_cleared([*row, b[i]])[0] for i, row in enumerate(a)]
-    pivots, _, d = _bareiss(mat, m)
+    mat = [_cleared([*row, b[i]]) for i, row in enumerate(a)]
+    pivots, d = _bareiss(mat, m)
     if len(pivots) < m:
         return None
     y = [0] * m
@@ -108,23 +105,6 @@ def solve_square(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
         row = mat[i]
         y[i] = (d * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))) // row[i]
     return tuple(Fraction(v, d) for v in y)
-
-
-def det(a: Sequence[Sequence]) -> Fraction:
-    m = len(a)
-    cleared = [_cleared(row) for row in a]
-    pivots, sign, last = _bareiss([row for row, _ in cleared], m)
-    if len(pivots) < m:
-        return Fraction(0)
-    return Fraction(sign * last, prod(scale for _, scale in cleared))
-
-
-def primitive(v: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector by the least positive rational that makes it
-    integral with coprime entries; the zero vector stays zero."""
-    ints = _cleared(v)[0]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 def _integer_entries(row: Sequence) -> tuple[int, ...]:

@@ -573,13 +573,6 @@ def _weyl_elements(n: int) -> Iterator[WeylElem]:
             yield WeylElem._trusted(first + second)
 
 
-def weyl_order(n: int) -> int:
-    out = 2**n
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def levi_elements(n: int) -> list[WeylElem]:
     """The n! windows stabilizing {1..n} (the Levi Weyl group)."""
     if n < 1:

@@ -427,6 +427,66 @@ def test_verify_theorem_refuses_rank_above_limit_before_any_build(capsys, monkey
         run(["verify-theorem", "--n", str(MAX_CERT_RANK), "--p", "5"])
 
 
+def test_bruhat_refuses_preceq_above_rank_limit(capsys, monkeypatch):
+    import zipcone.cli
+    from zipcone.cli import MAX_PRECEQ_RANK
+
+    def no_preceq(*args, **kwargs):
+        raise AssertionError("a refused --preceq must compare nothing")
+
+    monkeypatch.setattr(zipcone.cli, "preceq", no_preceq)
+    bad = MAX_PRECEQ_RANK + 1
+    ident = " ".join(map(str, range(1, 2 * bad + 1)))
+    assert_refused(
+        capsys,
+        ["bruhat", "--elem", ident, "--elem2", ident, "--preceq"],
+        f"--preceq needs rank at most {MAX_PRECEQ_RANK}, got {bad}",
+    )
+
+
+def _refuse_cone_above(capsys, monkeypatch, cone, limit, extra=lambda n: []):
+    """cone-check --cone CONE one rank above its limit exits 2 before any
+    cone is built or any weight map solved; at the limit it gets there."""
+    import zipcone.cli
+
+    def no_cone(*args, **kwargs):
+        raise AssertionError("a refused --cone must build nothing")
+
+    monkeypatch.setattr(zipcone.cli, "_named_cone", no_cone)
+    monkeypatch.setattr(zipcone.cli, "pha_w_member", no_cone)
+
+    def argv(n):
+        lam = ",".join(["-1"] * n) + "|0"
+        return ["cone-check", "--cone", cone, f"--lambda={lam}", *extra(n)]
+
+    assert_refused(
+        capsys, argv(limit + 1), f"--cone {cone} needs rank at most {limit}, got {limit + 1}"
+    )
+    with pytest.raises(AssertionError, match="build nothing"):
+        run(argv(limit))
+
+
+def test_cone_check_refuses_gs_above_rank_limit(capsys, monkeypatch):
+    from zipcone.cli import MAX_GS_RANK
+
+    _refuse_cone_above(capsys, monkeypatch, "gs", MAX_GS_RANK)
+
+
+def test_cone_check_refuses_pha_wmax_above_rank_limit(capsys, monkeypatch):
+    from zipcone.cli import MAX_PHA_WMAX_RANK
+
+    _refuse_cone_above(capsys, monkeypatch, "pha-wmax", MAX_PHA_WMAX_RANK)
+
+
+def test_cone_check_refuses_pha_above_rank_limit(capsys, monkeypatch):
+    from zipcone.cli import MAX_PHA_RANK
+
+    def w0(n):
+        return ["--p", "5", "--elem", " ".join(map(str, range(2 * n, 0, -1)))]
+
+    _refuse_cone_above(capsys, monkeypatch, "pha", MAX_PHA_RANK, w0)
+
+
 def test_closed_stdout_prints_no_traceback():
     """A reader that stops early (`| head -c 10`) closes the pipe; the CLI
     exits 1, as Python does on EPIPE, without a traceback."""

@@ -10,7 +10,6 @@ from zipcone.bruhat import is_separating, lower_neighbors
 from zipcone.cones import lmin_member
 from zipcone.hasse import (
     anchor_element,
-    chi_is_valid,
     compare_step_weights,
     descent_path,
     eset_reference,
@@ -18,8 +17,6 @@ from zipcone.hasse import (
     ha_closed_form,
     PathReport,
     hasse_map,
-    pha_multiplicities,
-    solve_chi,
     step_weight,
     verify_path_lemmas,
 )
@@ -30,6 +27,7 @@ from zipcone.weylroot import (
     act,
     canonical_elements,
     pairing,
+    random_element,
     weyl_elements,
 )
 
@@ -39,18 +37,25 @@ def test_hasse_map_rejects_small_p():
         hasse_map(WeylElem.identity(2), 1)
 
 
+def weight(w, p, chi):
+    """The weight map's definition, -w(chi) + p*wmax(chi), written with act."""
+    return (-1 * act(w, chi)) + p * act(canonical_elements(w.n).wmax, chi)
+
+
 def test_hasse_map_zero_and_linearity():
     hm = hasse_map(canonical_elements(2).w0, 3)
     zero = Character.zero(2)
-    assert hm.apply(zero) == zero
+    assert hm.inverse_apply(zero).to_integral() == zero
     x = Character((2, -1), 1)
     y = Character((0, 4), 1)
-    assert hm.apply(x + y) == hm.apply(x) + hm.apply(y)
+    assert hm.inverse_apply(x + y) == hm.inverse_apply(x) + hm.inverse_apply(y)
 
 
 def test_hasse_map_example():
-    hm = hasse_map(canonical_elements(2).w0, 3)
-    assert hm.apply(Character.unit(2, 1)) == Character((1, -3), 0)
+    w0 = canonical_elements(2).w0
+    e1 = Character.unit(2, 1)
+    assert weight(w0, 3, e1) == Character((1, -3), 0)
+    assert hasse_map(w0, 3).inverse_apply(Character((1, -3), 0)).to_integral() == e1
 
 
 def test_hasse_map_at_wmax_is_scaled_action():
@@ -59,7 +64,7 @@ def test_hasse_map_at_wmax_is_scaled_action():
         hm = hasse_map(wmax, p)
         for k in range(1, n + 1):
             e = Character.unit(n, k)
-            assert hm.apply(e) == (p - 1) * act(wmax, e)
+            assert hm.inverse_apply((p - 1) * act(wmax, e)).to_integral() == e
 
 
 def test_hasse_map_preserves_parity():
@@ -72,81 +77,35 @@ def test_hasse_map_preserves_parity():
                 b = sum(a) % 2 + 2 * rng.randint(-2, 2)
                 chi = Character(tuple(a), b)
                 assert chi.satisfies_parity
-                assert hm.apply(chi).satisfies_parity
+                lam = weight(w, p, chi)
+                assert lam.satisfies_parity
+                assert hm.inverse_apply(lam).to_integral() == chi
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_hasse_map_injective(n, p):
+    # inverse_apply raises unless the matrix is invertible
+    chi = Character(tuple(range(1, n + 1)), 1)
     for w in weyl_elements(n):
-        assert hasse_map(w, p).determinant() != 0
+        assert hasse_map(w, p).inverse_apply(weight(w, p, chi)).to_integral() == chi
 
 
 def test_hasse_map_b_coordinate():
-    hm = hasse_map(canonical_elements(3).w0, 5)
-    assert hm.apply(Character((0, 0, 0), 1)) == Character((0, 0, 0), 4)
+    w0 = canonical_elements(3).w0
+    b = Character((0, 0, 0), 1)
+    assert weight(w0, 5, b) == Character((0, 0, 0), 4)
+    assert hasse_map(w0, 5).inverse_apply(Character((0, 0, 0), 4)).to_integral() == b
 
 
 def test_inverse_apply_round_trip():
     rng = random.Random(9)
-    hm = hasse_map(canonical_elements(3).w0, 3)
-    for _ in range(20):
-        chi = Character(tuple(rng.randint(-9, 9) for _ in range(3)), rng.randint(-4, 4))
-        lam = hm.apply(chi)
-        back = hm.inverse_apply(lam)
-        assert back.to_integral() == chi
-
-
-def test_pha_multiplicities_examples():
-    w0 = canonical_elements(2).w0
-    assert pha_multiplicities(w0, Character.zero(2)) == {
-        Root.diff(1, 2): 0,
-        Root.long(2): 0,
-    }
-    assert pha_multiplicities(w0, Character.unit(2, 1)) == {
-        Root.diff(1, 2): 1,
-        Root.long(2): 0,
-    }
-
-
-def test_pha_multiplicities_on_path_steps():
-    # the step character vanishes to order 1 on its own boundary stratum and
-    # to order 0 on every other one
-    for step in descent_path(4, 3):
-        mults = pha_multiplicities(step.w, step.chi)
-        assert mults[step.beta] == 1
-        assert all(m == 0 for a, m in mults.items() if a != step.beta)
-
-
-def test_solve_chi_examples():
-    w0 = canonical_elements(2).w0
-    chi_diff = solve_chi(w0, Root.diff(1, 2))
-    assert chi_diff.a == (1, 0)
-    assert chi_diff.satisfies_parity
-    chi_long = solve_chi(w0, Root.long(2))
-    assert chi_long.a == (1, 1) and chi_long.b == 0
-    assert chi_is_valid(w0, Root.diff(1, 2), Character.unit(2, 1))
-
-
-def test_solve_chi_rejects_bad_input():
-    w0 = canonical_elements(2).w0
-    with pytest.raises(ValueError):
-        solve_chi(w0, Root.long(1))  # not a lower neighbor of w0
-    nonsep = next(
-        w for w in weyl_elements(3) if len(lower_neighbors(w).roots) > 3
-    )
-    beta = next(iter(lower_neighbors(nonsep).roots))
-    with pytest.raises(ValueError):
-        solve_chi(nonsep, beta)
-
-
-def test_solve_chi_on_path_steps():
-    # unique solution on the fully determined steps; validator elsewhere
-    for n, p in [(3, 3), (4, 3), (5, 2)]:
-        for step in descent_path(n, p):
-            assert chi_is_valid(step.w, step.beta, step.chi)
-            if step.d <= n - 2:
-                assert solve_chi(step.w, step.beta).a == step.chi.a
+    for n, p in [(2, 2), (3, 3), (4, 5)]:
+        for w in [canonical_elements(n).w0, canonical_elements(n).wmax, random_element(n, rng)]:
+            hm = hasse_map(w, p)
+            for _ in range(20):
+                chi = Character(tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-4, 4))
+                assert hm.inverse_apply(weight(w, p, chi)).to_integral() == chi
 
 
 def test_anchor_elements():

@@ -50,7 +50,9 @@ def test_no_unused_imports_in_package_modules():
 
 
 def _read_names(paths):
-    """Every name that an ast.Name or an ast.Attribute reads in the files."""
+    """Every name that an ast.Name or an ast.Attribute reads in the files.
+    An import binds a name without reading it, so an `__init__` re-export
+    is not a read."""
     read = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -67,18 +69,19 @@ def _overrides(module: str, cls_name: str, method: str) -> bool:
     return any(method in vars(base) for base in cls.__mro__[1:])
 
 
-def _dead_definitions(package, readers):
+def _dead_definitions(package):
     """Top-level functions and classes of the package, and their non-dunder
-    methods, whose names no module of the package or of `readers` reads."""
+    methods, whose names no module of the package reads, as
+    `module.name` or `module.Class.method`."""
     modules = sorted(package.glob("*.py"))
-    read = _read_names(modules + sorted(readers.glob("*.py")))
-    dead = []
+    read = _read_names(modules)
+    dead = set()
     for path in modules:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if stmt.name not in read:
-                dead.append(f"{path.name}:{stmt.lineno} {stmt.name}")
+                dead.add(f"{path.stem}.{stmt.name}")
             if not isinstance(stmt, ast.ClassDef):
                 continue
             for item in stmt.body:
@@ -88,9 +91,65 @@ def _dead_definitions(package, readers):
                     and item.name not in read
                     and not _overrides(path.stem, stmt.name, item.name)
                 ):
-                    dead.append(f"{path.name}:{item.lineno} {stmt.name}.{item.name}")
+                    dead.add(f"{path.stem}.{stmt.name}.{item.name}")
     return dead
 
 
+# Definitions that no package module reads, kept on purpose for the tests,
+# each with the reason.  Anything else that only the tests read is dead.
+TEST_ONLY = {
+    "bruhat.rank_matrix": "the rank-matrix definition of Bruhat order that the kernel's sorted-prefix bruhat_leq is checked against",
+    "bruhat.gamma": "the classed-pair-to-root map that lower_neighbors' root bitmasks are checked against",
+    "certify.Certificate.from_json_dict": "the certificate loader of the round-trip tests, until `check-cert` (ROADMAP item 1) replaces it",
+    "cones.worst_subset": "the root-level worst subset that orbit_worst_rows' closed-form rows are checked against",
+    "hasse.eset_reference": "the uncorrected closed form of E_w as a root set, an example reference for the path report's masks",
+    "hasse.eset_verified": "the corrected closed form of E_w as a root set, an example reference for the path report's masks",
+    "linalg.rank": "a span of perfbench/tracing.SPANS; its tests pin the Bareiss elimination that solve_square shares",
+    "weylroot.simple_roots": "the simple reflections that generate the group in the generation test",
+    "weylroot.is_I_dominant": "Levi dominance, the reference for cone_GS's Levi rows",
+    "weylroot.WeylElem.identity": "a fixture: the identity window",
+    "weylroot.inversion_count": "the root-image inversion count that the window kernel's length is checked against",
+    "weylroot.random_element": "a fixture: a uniformly random window from a seeded generator",
+}
+
+
 def test_no_dead_definitions_in_package_modules():
-    assert _dead_definitions(ROOT / "src" / "zipcone", ROOT / "tests") == []
+    """Only a read by a package module counts as a use: a read in the tests
+    does not, so a helper that only the tests call is listed in TEST_ONLY
+    or deleted, and a stale TEST_ONLY entry fails too."""
+    assert _dead_definitions(ROOT / "src" / "zipcone") == set(TEST_ONLY)
+    assert all(reason.strip() for reason in TEST_ONLY.values())
+
+
+def _traced_spans():
+    """`SPANS` of perfbench/tracing.py, read from the file, not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["SPANS"]:
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("perfbench/tracing.py assigns no SPANS")
+
+
+def test_every_traced_span_resolves_in_the_package():
+    """Each (module, function or Class.method) the benchmark tracer wraps is
+    defined where it looks, as `tracing.install` looks it up, and so are the
+    imported copies its selftest checks are rebound."""
+    spans = _traced_spans()
+    assert spans
+    missing = []
+    for module, qualname in spans:
+        owner = importlib.import_module(f"zipcone.{module}")
+        *cls_path, attr = qualname.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}.{qualname}")
+    assert missing == []
+    cones = importlib.import_module("zipcone.cones")
+    weylroot = importlib.import_module("zipcone.weylroot")
+    for module in ("certify", "cli", "sweeps"):
+        assert importlib.import_module(f"zipcone.{module}").farkas_implies is cones.farkas_implies
+    for module in ("bruhat", "hasse"):
+        mod = importlib.import_module(f"zipcone.{module}")
+        assert mod.compose is weylroot.compose
+        assert mod.reflection is weylroot.reflection

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zipcone.cones import cone_GS
 from zipcone.linalg import dot
 from zipcone.weylroot import (
     Character,
@@ -29,7 +31,6 @@ from zipcone.weylroot import (
     root_table,
     simple_roots,
     weyl_elements,
-    weyl_order,
 )
 
 
@@ -149,6 +150,13 @@ def test_is_I_dominant():
     assert is_I_dominant(Character((0, 0, 0), 0))
     assert is_I_dominant(Character((1, 1, -25), 1))
     assert not is_I_dominant(Character((-5, 1, 1), 1))
+    # the reference for the Levi rows of cone_GS, its first n - 1 rows
+    rng = random.Random(4)
+    for n in (1, 2, 3, 4):
+        levi_rows = cone_GS(n).hform[: n - 1]
+        for _ in range(50):
+            lam = Character(tuple(rng.randint(-2, 2) for _ in range(n)), 0)
+            assert is_I_dominant(lam) == all(dot(row, lam.vector()) <= 0 for row in levi_rows)
 
 
 def test_compose_examples():
@@ -173,7 +181,7 @@ def test_compose_rank_mismatch():
 @pytest.mark.parametrize("n", [2, 3])
 def test_group_axioms_exhaustive(n):
     elems = list(weyl_elements(n))
-    assert len(elems) == weyl_order(n)
+    assert len(elems) == 2**n * factorial(n)
     ident = WeylElem.identity(n)
     for u in elems:
         assert compose(u, u.inverse()) == ident
@@ -298,7 +306,7 @@ def test_group_generated_by_reflections(n):
                     seen.add(ws)
                     nxt.append(ws)
         frontier = nxt
-    assert len(seen) == weyl_order(n)
+    assert len(seen) == 2**n * factorial(n)
     assert seen == set(weyl_elements(n))
 
 
