@@ -1,11 +1,11 @@
 """Bruhat order, lower neighbors and minimal coset representatives.
 
 Lower neighbors are computed two ways: combinatorially from admissible
-pairs of the window, through a per-rank table from position pairs to
-roots, and by the brute-force definition (a length drop of one under a
-positive reflection).  The two must agree; the sweeps and
-the acceptance suite check this exhaustively.  Both give E_w as a root
-bitmask: bit k stands for `positive_roots(n)[k]`.
+pairs of the first half of the window, through a per-rank table from
+position pairs to root indices, and by the brute-force definition (a
+length drop of one under a positive reflection).  The two must agree; the
+sweeps and the acceptance suite check this exhaustively.  Both give E_w as
+a root bitmask: bit k stands for `positive_roots(n)[k]`.
 """
 
 from __future__ import annotations
@@ -71,14 +71,13 @@ def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
 @functools.lru_cache(maxsize=32)
 def _pair_roots(n: int) -> Mapping[tuple[int, int], tuple[PairClass, Root, int, int]]:
     """Every 1-based position pair (i, j), i < j, i <= n, mapped to its
-    class, its root, the largest w(i) the class allows and the root's bit
-    (1 << its index in `positive_roots(n)`): E1 (j <= n) to e_i - e_j, E3
-    (j = 2n+1-i) to 2e_i, and every other pair to e_i + e_k, k = 2n+1-j,
-    under E2.  E2 needs w(i) <= n and w(j) <= n; on an admissible pair
-    w(j) < w(i), so the bound n on w(i) is the whole test, and E1 and E3
-    carry the bound 2n that every value meets.  Pairs with i > n are in no
-    class and absent.  Built once per rank, on first use; read-only, since
-    every caller shares it."""
+    class, its root, the largest w(i) the class allows and the root's index
+    in `positive_roots(n)`: E1 (j <= n) to e_i - e_j, E3 (j = 2n+1-i) to
+    2e_i, and every other pair to e_i + e_k, k = 2n+1-j, under E2.  E2 needs
+    w(i) <= n and w(j) <= n; on an admissible pair w(j) < w(i), so the bound
+    n on w(i) is the whole test, and E1 and E3 carry the bound 2n that every
+    value meets.  Pairs with i > n are in no class and absent.  Built once
+    per rank, on first use; read-only, since every caller shares it."""
     m = 2 * n
     table = {}
     for i in range(1, n + 1):
@@ -90,8 +89,24 @@ def _pair_roots(n: int) -> Mapping[tuple[int, int], tuple[PairClass, Root, int, 
             else:
                 k = m + 1 - j
                 cls, root, bound = PairClass.E2, Root.sum(min(i, k), max(i, k)), n
-            table[i, j] = (cls, root, bound, 1 << root_index(n, *root_order(root)))
+            table[i, j] = (cls, root, bound, root_index(n, *root_order(root)))
     return MappingProxyType(table)
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_rows(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """`_pair_roots(n)` as the row table of `kernels.admissible_mask`: row
+    i-1 holds two tuples indexed by j-1, the root index of the pair (i, j)
+    when w(i) <= n and when w(i) > n, or -1 where the pair has no class.
+    Built once per rank, on first use."""
+    m = 2 * n
+    rows = [([-1] * m, [-1] * m) for _ in range(n)]
+    for (i, j), (_, _, bound, index) in _pair_roots(n).items():
+        low, high = rows[i - 1]
+        low[j - 1] = index
+        if bound == m:
+            high[j - 1] = index
+    return tuple((tuple(low), tuple(high)) for low, high in rows)
 
 
 def admissible_pairs(w: WeylElem) -> list[AdmissiblePair]:
@@ -145,14 +160,8 @@ class NeighborSet:
 
 def lower_neighbor_mask(window) -> int:
     """E_w of a raw window: the bits of the roots of its classed admissible
-    pairs."""
-    table = _pair_roots(len(window) // 2)
-    mask = 0
-    for pair in kernels.admissible_pairs(window):
-        entry = table.get(pair)
-        if entry is not None and window[pair[0] - 1] <= entry[2]:
-            mask |= entry[3]
-    return mask
+    pairs, from one scan of the first half of the window."""
+    return kernels.admissible_mask(window, _pair_rows(len(window) // 2))
 
 
 def lower_neighbors(w: WeylElem) -> NeighborSet:
@@ -167,17 +176,12 @@ def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:
     so w * s_alpha is covered by w exactly when l(w * s_alpha) = l(w) - 1.
     Still brute force over all n^2 positive roots, with no shortcut from the
     admissible-pair theory, so it stays independent of `lower_neighbors`.
-    It works on the raw window: one `kernels.length_changes` pass builds the
-    window's prefix value masks in O(n) and reads each root's length change
-    off them in O(1) word operations, O(n^2) in all, without building
-    w * s_alpha; mirror symmetry lets it evaluate one swap per root.  The
-    changes come in the order of `positive_roots`, so the k-th one is bit k.
+    It works on the raw window: `kernels.length_drops` builds the window's
+    prefix value masks in O(n) and reads each root's length change off them
+    in O(1) word operations, O(n^2) in all, without building w * s_alpha;
+    mirror symmetry lets it evaluate one swap per root.
     """
-    mask = 0
-    for k, change in enumerate(kernels.length_changes(w.window)):
-        if change == -1:
-            mask |= 1 << k
-    return NeighborSet(w, mask)
+    return NeighborSet(w, kernels.length_drops(w.window))
 
 
 @functools.lru_cache(maxsize=32)

@@ -6,11 +6,13 @@ plain tuples and trust their input; `weylroot.WeylElem` validates windows
 where they enter.  This is the only backend; `BACKEND` names it for the
 JSON of `weyl --json` and for benchmark records.
 
-The brute-force neighbor oracle needs l(w*s) - l(w) for every positive
-root: `length_changes` gives all n^2 of them in O(n^2) per mirror window
-from one pass of prefix value masks, evaluating one swap per root, while
-`length_change` counts one in O(n) and serves single steps and as the
-reference for the batch kernel.
+The brute-force neighbor oracle needs the positive roots whose
+reflection lowers the length by one: `length_drops` tests all n^2 of them
+in O(n^2) per mirror window from one pass of prefix value masks,
+evaluating one swap per root, while `length_change` counts one change in
+O(n) and serves single steps and as the reference for the batch kernel.
+`admissible_mask` gives the same set the other way, by the classed
+admissible pairs of the first half of the window.
 """
 
 from __future__ import annotations
@@ -93,9 +95,9 @@ def length_change(w, swaps):
     return delta // 2
 
 
-def length_changes(w):
-    """[length_change(w, s) for s in reflection_swaps(n).values()] on a
-    mirror window w, in the order of `weylroot.positive_roots`; O(n) once
+def length_drops(w):
+    """The root bitmask of {alpha : l(w*s_alpha) - l(w) = -1} on a mirror
+    window w: bit k stands for `weylroot.positive_roots(n)[k]`.  O(n) once
     plus O(1) word operations per root, so O(n^2) over all n^2 roots.
 
     Only the first swap (a, b) of each root is evaluated.  Write N = 2n + 1,
@@ -129,59 +131,83 @@ def length_changes(w):
     strictly between x and N - x together, so c = 2c' with c' counted over
     positions i+1..n, and h = s.  The change is s(1 + 2c').
 
-    Each c' is read off prefix value masks: P[k] has bit v set for each
-    value v = w(k'), k' <= k, so P[k] ^ P[i] holds the values at positions
-    i+1..k, and (1 << hi) - (2 << lo) keeps those strictly between lo and
-    hi, which drops w(k) itself.
+    Every change is thus s(1 + 2c'), with c' = c for e_i - e_j, and
+    s(1 + 2c') is -1 exactly when s = -1 and c' = 0: the value at b lies
+    below x, and no counted value lies strictly between them.  Each c' = 0
+    is read off prefix value masks: P[k] has bit v set for each value
+    v = w(k'), k' <= k, so P[k] ^ P[i] holds the values at positions
+    i+1..k, and (1 << x) - (2 << y) keeps those strictly between y and x,
+    which drops w(k) itself.  The sign is tested first, so the masks are
+    read only for the roots that can drop.
     """
     n = len(w) // 2
     top = 2 * n + 1
-    win = (0, *w)  # 1-based: win[k] = w(k)
-    prefix = [0]
+    prefix = [0]  # prefix[k] = P[k], over the 1-based positions 1..k
     seen = 0
     for v in w:
         seen |= 1 << v
         prefix.append(seen)
     half = prefix[n]
-    # one row per i: (i, x = w(i), P[i], then the two bounds on x's side of
-    # the masks); the signed count is written out three times, since a
-    # helper called per row was measurably slower at n = 16
-    rows = [(i, x, prefix[i], 1 << x, 2 << x) for i, x in enumerate(w[:n], 1)]
-    diffs = [
-        1 + 2 * ((p ^ left) & ((1 << y) - above)).bit_count() if x < y
-        else -1 - 2 * ((p ^ left) & (below - (2 << y))).bit_count()
-        for i, x, left, below, above in rows
-        for y, p in zip(win[i + 1:n + 1], prefix[i + 1:n + 1])
-    ]
-    sums = [  # v = N - x joins the counted values
-        1 + 2 * ((p ^ mirrored) & ((1 << y) - above)).bit_count() if x < y
-        else -1 - 2 * ((p ^ mirrored) & (below - (2 << y))).bit_count()
-        for i, x, left, below, above in rows
-        for mirrored in [left | 1 << (top - x)]
-        for y, p in zip(win[top - i - 1:n:-1], prefix[top - i - 1:n:-1])
-    ]
-    longs = [
-        1 + 2 * ((half ^ left) & ((1 << v) - above)).bit_count() if x < v
-        else -1 - 2 * ((half ^ left) & (below - (2 << v))).bit_count()
-        for i, x, left, below, above in rows
-        for v in [top - x]
-    ]
-    return diffs + sums + longs
+    mask = 0
+    k = 0  # the index of the current root in `positive_roots` order
+    for a in range(n):  # e_i - e_j, i = a + 1: b = j runs over i+1..n
+        x = w[a]
+        left = prefix[a + 1]
+        below = 1 << x
+        for b in range(a + 1, n):
+            y = w[b]
+            if y < x and not (prefix[b + 1] ^ left) & (below - (2 << y)):
+                mask |= 1 << k
+            k += 1
+    for a in range(n):  # e_i + e_j: b = N - j runs down from N - i - 1 to n + 1
+        x = w[a]
+        mirrored = prefix[a + 1] | 1 << (top - x)  # v = N - x joins the counted values
+        below = 1 << x
+        for b in range(top - a - 3, n - 1, -1):
+            y = w[b]
+            if y < x and not (prefix[b + 1] ^ mirrored) & (below - (2 << y)):
+                mask |= 1 << k
+            k += 1
+    for a in range(n):  # 2e_i: the value at N - i is N - x, below x when x > n
+        x = w[a]
+        if x > n and not (half ^ prefix[a + 1]) & ((1 << x) - (2 << (top - x))):
+            mask |= 1 << k
+        k += 1
+    return mask
 
 
 def bruhat_leq(w1, w2):
-    """Sorted-prefix (tableau) criterion: for every i, the sorted values
-    w1(1..i) lie entrywise at or below the sorted values w2(1..i)
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.6.3; the order
-    on mirror windows is the one induced from all permutations, Cor 8.1.9).
-    For each i this is the rank-matrix inequality r_{w1}(i,j) >= r_{w2}(i,j)
-    for all j."""
+    """Sorted-prefix (tableau) criterion on mirror windows: for every
+    i <= n, the sorted values w1(1..i) lie entrywise at or below the sorted
+    values w2(1..i) (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    Thm 2.6.3; the order on mirror windows is the one induced from all
+    permutations, Cor 8.1.9).  For each i this is the rank-matrix
+    inequality r_{w1}(i,j) >= r_{w2}(i,j) for all j.
+
+    The rows i >= n repeat the rows i <= n.  On a mirror window
+    w(2n+1-k) = 2n+1-w(k), so the positions k > 2n-i are the mirrors
+    k' = 2n+1-k <= i, and w(k) <= 2n-j holds exactly when w(k') > j:
+
+        r_w(2n-i, 2n-j) = (2n-j) - #{k' <= i : w(k') > j}
+                        = 2n - i - j + r_w(i, j).
+
+    The shift 2n - i - j is the same for w1 and w2, so row 2n-i of the
+    rank-matrix inequality is row i, and only the prefixes 1..n are
+    compared.
+
+    A row is compared only where w1(i) > w2(i).  The k-th smallest entry
+    of a list does not decrease when one entry grows.  So if the sorted
+    prefixes of row i-1 lie entrywise in order, they stay so with w1(i)
+    inserted into both, and raising the copy in the second to
+    w2(i) >= w1(i) keeps them so."""
     a = []
     b = []
-    for x, y in zip(w1, w2):
+    for i in range(len(w1) // 2):
+        x = w1[i]
+        y = w2[i]
         insort(a, x)
         insort(b, y)
-        if not all(map(le, a, b)):
+        if x > y and not all(map(le, a, b)):
             return False
     return True
 
@@ -214,3 +240,30 @@ def admissible_pairs(w):
                     break
                 best = wj
     return tuple(out)
+
+
+def admissible_mask(w, rows):
+    """The root bitmask of the classed admissible pairs (i, j), i <= n, of a
+    mirror window: the scan of `admissible_pairs` over the first-half rows,
+    each pair's root index read off the per-rank table `rows`.  Row i-1 of
+    the table is (low, high): entry j-1 of low is the root index of the
+    pair (i, j) when w(i) <= n, and of high when w(i) > n, or -1 where
+    the pair is in no class.  Rows i > n are skipped: no pair there has a
+    class."""
+    n = len(rows)
+    m = len(w)
+    mask = 0
+    for i, (low, high) in enumerate(rows):
+        wi = w[i]
+        roots = low if wi <= n else high
+        best = 0
+        for j in range(i + 1, m):
+            wj = w[j]
+            if best < wj < wi:
+                k = roots[j]
+                if k >= 0:
+                    mask |= 1 << k
+                if wj == wi - 1:
+                    break
+                best = wj
+    return mask

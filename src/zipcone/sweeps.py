@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import kernels, linalg
-from .bruhat import lower_neighbor_mask, lower_neighbors, lower_neighbors_oracle, mask_bits
+from .bruhat import lower_neighbor_mask, mask_bits
 from .cones import (
     dominance_functionals,
     farkas_implies,
@@ -23,7 +24,7 @@ from .cones import (
     lmin_member_enumerated,
     prefix_functional,
 )
-from .weylroot import RatCharacter, WeylElem, reflection_windows, weyl_elements
+from .weylroot import RatCharacter, WeylElem, reflection_windows, weyl_windows
 
 _MAX_REPORTED_FAILURES = 20
 
@@ -68,17 +69,18 @@ def _pmap(fn, chunks, jobs):
 
 
 def _gamma_chunk(windows):
-    # the windows come from weyl_elements, so they need no re-validation
-    bad = []
-    for win in windows:
-        w = WeylElem._trusted(win)
-        if lower_neighbors(w).mask != lower_neighbors_oracle(w).mask:
-            bad.append(str(w))
+    # the windows come from weyl_windows, so they need no validation; an
+    # element is built only to name a failure
+    bad = [
+        str(WeylElem._trusted(win))
+        for win in windows
+        if lower_neighbor_mask(win) != kernels.length_drops(win)
+    ]
     return len(windows), bad
 
 
 def gamma_suite(n: int, jobs: int = 1) -> SweepResult:
-    windows = [w.window for w in weyl_elements(n)]
+    windows = list(weyl_windows(n))
     results = _pmap(_gamma_chunk, _chunks(windows, jobs), jobs)
     total = sum(t for t, _ in results)
     failures = [f for _, bad in results for f in bad]
@@ -106,15 +108,20 @@ def cover_closure_bits(windows: list[tuple[int, ...]]) -> list[int]:
     Works on raw windows and integer indices; the windows must be the whole
     group of one rank, so that every lower neighbor is among them.  Each
     bit of a window's neighbor mask indexes the reflection windows, which
-    come in the same root order."""
-    refl = tuple(reflection_windows(len(windows[0]) // 2).values())
+    come in the same root order; each is held as an itemgetter of 0-based
+    positions, so that getter(w) is `kernels.compose(w, s_alpha)` in one C
+    call."""
+    refl = [
+        itemgetter(*[x - 1 for x in s])
+        for s in reflection_windows(len(windows[0]) // 2).values()
+    ]
     index = {win: k for k, win in enumerate(windows)}
     bits = [0] * len(windows)
     for k in sorted(range(len(windows)), key=lambda k: kernels.length(windows[k])):
         win = windows[k]
         mask = 1 << k
         for b in mask_bits(lower_neighbor_mask(win)):
-            mask |= bits[index[kernels.compose(win, refl[b])]]
+            mask |= bits[index[refl[b](win)]]
         bits[k] = mask
     return bits
 
@@ -124,23 +131,23 @@ def bruhat_suite(n: int, samples: int = 0, seed: int = 0) -> SweepResult:
     closure, on raw windows.  Exhaustive over all pairs when no sample
     count is given (sensible for n <= 3); otherwise a seeded sample of
     pairs."""
-    elements = list(weyl_elements(n))
-    windows = [w.window for w in elements]
+    windows = list(weyl_windows(n))
     bits = cover_closure_bits(windows)
     if samples:
         rng = random.Random(seed)
         pairs = [
-            (rng.randrange(len(elements)), rng.randrange(len(elements)))
+            (rng.randrange(len(windows)), rng.randrange(len(windows)))
             for _ in range(samples)
         ]
     else:
-        pairs = [(i, j) for i in range(len(elements)) for j in range(len(elements))]
+        pairs = [(i, j) for i in range(len(windows)) for j in range(len(windows))]
     failures = []
     for i, j in pairs:
         by_rank = kernels.bruhat_leq(windows[i], windows[j])
         by_closure = bool(bits[j] >> i & 1)
         if by_rank != by_closure:
-            failures.append(f"{elements[i]} vs {elements[j]}")
+            u, v = WeylElem._trusted(windows[i]), WeylElem._trusted(windows[j])
+            failures.append(f"{u} vs {v}")
     passed = len(pairs) - len(failures)
     params = {"n": n}
     if samples:

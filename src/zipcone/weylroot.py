@@ -557,20 +557,25 @@ def inversion_count(w: WeylElem) -> int:
 # enumeration helpers
 
 
-def weyl_elements(n: int) -> Iterator[WeylElem]:
-    """All 2^n * n! mirror windows, in a deterministic order."""
+def weyl_windows(n: int) -> Iterator[tuple[int, ...]]:
+    """All 2^n * n! mirror windows, as raw tuples, in a deterministic order."""
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
-    return _weyl_elements(n)
+    return _weyl_windows(n)
 
 
-def _weyl_elements(n: int) -> Iterator[WeylElem]:
-    m = 2 * n
+def _weyl_windows(n: int) -> Iterator[tuple[int, ...]]:
+    top = 2 * n + 1
     for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((0, 1), repeat=n):
-            first = tuple(p if s == 0 else m + 1 - p for p, s in zip(perm, signs))
-            second = tuple(m + 1 - x for x in reversed(first))
-            yield WeylElem._trusted(first + second)
+        # the first half takes p or 2n+1-p at each position, the last
+        # position's choice varying fastest
+        for first in itertools.product(*[(p, top - p) for p in perm]):
+            yield first + tuple([top - x for x in first[::-1]])
+
+
+def weyl_elements(n: int) -> Iterator[WeylElem]:
+    """The windows of `weyl_windows` as elements, in the same order."""
+    return map(WeylElem._trusted, weyl_windows(n))
 
 
 def levi_elements(n: int) -> list[WeylElem]:

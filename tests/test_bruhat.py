@@ -194,27 +194,39 @@ def test_gamma_bijection_exhaustive(n):
 
 
 def test_oracle_calls_no_admissible_pair_code(monkeypatch):
-    calls = {"admissible_pairs": 0, "_pair_roots": 0}
+    counted = [
+        (kernels, "admissible_pairs"),
+        (kernels, "admissible_mask"),
+        (bruhat, "_pair_roots"),
+        (bruhat, "_pair_rows"),
+    ]
+    calls = dict.fromkeys([name for _, name in counted], 0)
 
     def count_calls(module, name):
         real = getattr(module, name)
 
-        def counted(*args):
+        def counting(*args):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counting)
 
-    count_calls(kernels, "admissible_pairs")
-    count_calls(bruhat, "_pair_roots")
+    # build the rank-6 row table first, so that building it calls
+    # _pair_roots outside the count whatever ran before this test
+    bruhat._pair_rows(6)
+    for module, name in counted:
+        count_calls(module, name)
     rng = random.Random(6)
     elems = [canonical_elements(6).w0, canonical_elements(6).wmax]
     elems += [random_element(6, rng) for _ in range(20)]
     oracle = [lower_neighbors_oracle(w) for w in elems]
-    assert calls == {"admissible_pairs": 0, "_pair_roots": 0}
-    # positive control: the wrappers do see the admissible-pair route
+    assert calls == dict.fromkeys(calls, 0)
+    # positive control: the wrappers do see both admissible-pair routes, the
+    # fused row scan of E_w and the classed pairs
     assert [lower_neighbors(w) for w in elems] == oracle
-    assert calls == {"admissible_pairs": len(elems), "_pair_roots": len(elems)}
+    for w in elems:
+        admissible_pairs(w)
+    assert calls == dict.fromkeys(calls, len(elems))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -290,8 +302,10 @@ def test_neighbor_set_roots_decode_the_root_set_construction(n):
     routes built before they returned masks."""
     for w in weyl_elements(n):
         by_pairs = frozenset(gamma(p, w) for p in admissible_pairs(w) if p.cls is not PairClass.OTHER)
-        changes = kernels.length_changes(w.window)
-        by_oracle = frozenset(alpha for alpha, d in zip(reflection_swaps(n), changes) if d == -1)
+        by_oracle = frozenset(
+            alpha for alpha, swaps in reflection_swaps(n).items()
+            if kernels.length_change(w.window, swaps) == -1
+        )
         assert lower_neighbors(w).roots == by_pairs
         assert lower_neighbors_oracle(w).roots == by_oracle
 

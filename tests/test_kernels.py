@@ -5,14 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zipcone import kernels
+from zipcone.hasse import descent_path
 from zipcone.sweeps import gamma_suite, lmin_oracle_suite
 from zipcone.weylroot import (
     Root,
+    canonical_elements,
     positive_roots,
     random_element,
     reflection_swaps,
     reflection_windows,
     weyl_elements,
+    weyl_windows,
 )
 
 
@@ -52,42 +55,41 @@ def test_length_change_matches_length_sampled(n, seed):
     assert_length_change_matches(random_element(n, random.Random(seed)).window, n)
 
 
-def assert_length_changes_match(win, n):
-    expected = [kernels.length_change(win, swaps) for swaps in reflection_swaps(n).values()]
-    assert kernels.length_changes(win) == expected, win
+def assert_length_drops_match(win, n):
+    expected = 0
+    for k, swaps in enumerate(reflection_swaps(n).values()):
+        if kernels.length_change(win, swaps) == -1:
+            expected |= 1 << k
+    assert kernels.length_drops(win) == expected, win
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_length_changes_match_length_change_exhaustive(n):
-    for w in weyl_elements(n):
-        assert_length_changes_match(w.window, n)
+def test_length_drops_match_length_change_exhaustive(n):
+    for win in weyl_windows(n):
+        assert_length_drops_match(win, n)
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
-def test_length_changes_match_length_change_sampled(n, seed):
-    assert_length_changes_match(random_element(n, random.Random(seed)).window, n)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_length_drops_match_length_change_on_path_windows(n):
+    steps = descent_path(n, 5)
+    for win in [step.w.window for step in steps] + [canonical_elements(n).wmax.window]:
+        assert_length_drops_match(win, n)
 
 
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_length_changes_match_length_difference_sampled(n, seed):
-    # against l(w*s_alpha) - l(w) on whole windows, sharing no counting
-    # with length_change
-    win = random_element(n, random.Random(seed)).window
-    lw = kernels.length(win)
-    windows = reflection_windows(n)
-    expected = [kernels.length(kernels.compose(win, windows[alpha])) - lw for alpha in windows]
-    assert kernels.length_changes(win) == expected
+@pytest.mark.parametrize("n", [8, 16, 33, 64, 128])
+def test_length_drops_match_length_change_on_random_windows(n):
+    rng = random.Random(n)
+    for _ in range(4 if n > 64 else 12):
+        assert_length_drops_match(random_element(n, rng).window, n)
 
 
-def test_length_changes_sum_root_regressions():
+def test_length_change_sum_root_regressions():
     # e1+e2 at n = 2: doubling the first swap's change (1 + 2c) + h gives 4
     # on the identity, and (1 + 2c) alone gives 1 on (2, 1, 4, 3)
     sum_root = list(reflection_swaps(2)).index(Root.sum(1, 2))
     for win in ((1, 2, 3, 4), (2, 1, 4, 3)):
-        assert kernels.length_changes(win)[sum_root] == 3
         assert kernels.length_change(win, reflection_swaps(2)[Root.sum(1, 2)]) == 3
+        assert not kernels.length_drops(win) >> sum_root & 1
 
 
 def admissible_pairs_by_definition(w):
@@ -144,6 +146,19 @@ def bruhat_leq_by_rank_matrix(w1, w2):
         for i in range(1, m + 1)
         for j in range(1, m + 1)
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_matrix_mirror_identity(n):
+    """r_w(2n-i, 2n-j) = 2n - i - j + r_w(i, j) on mirror windows: the rows
+    past n repeat the rows up to n, so `bruhat_leq` compares prefixes
+    1..n only."""
+    m = 2 * n
+    for win in weyl_windows(n):
+        for i in range(m + 1):
+            for j in range(m + 1):
+                expected = m - i - j + kernels.rank_entry(win, i, j)
+                assert kernels.rank_entry(win, m - i, m - j) == expected, (win, i, j)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -110,6 +110,7 @@ TEST_ONLY = {
     "weylroot.WeylElem.identity": "a fixture: the identity window",
     "weylroot.inversion_count": "the root-image inversion count that the window kernel's length is checked against",
     "weylroot.random_element": "a fixture: a uniformly random window from a seeded generator",
+    "weylroot.weyl_elements": "a fixture: every element of one rank, for the exhaustive tests",
 }
 
 

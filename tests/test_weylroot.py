@@ -52,7 +52,7 @@ def test_positive_roots_come_sorted(n):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_positive_roots_are_in_root_order_and_bit_order(n):
     """A root bitmask's bit k is the k-th positive root, and both the kernel
-    (`length_changes`) and the neighbor masks rely on that order being the
+    (`length_drops`) and the neighbor masks rely on that order being the
     root order."""
     roots = positive_roots(n)
     assert roots == sorted(roots, key=root_order)
