@@ -11,13 +11,13 @@ a root bitmask: bit k stands for `positive_roots(n)[k]`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
 from . import kernels
 from .weylroot import (
+    Record,
     Root,
     WeylElem,
     compose,
@@ -38,8 +38,7 @@ class PairClass(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(Record):
     """An admissible pair (i, j) of a window, tagged with its class.
 
     E1: j <= n.  E2: i <= n < j with both values w(i), w(j) <= n.
@@ -50,6 +49,9 @@ class AdmissiblePair:
     i: int
     j: int
     cls: PairClass
+
+    def __init__(self, i: int, j: int, cls: PairClass):
+        vars(self).update(i=i, j=j, cls=cls)
 
 
 def rank_matrix(w: WeylElem, i: int, j: int) -> int:
@@ -145,13 +147,15 @@ def mask_roots(n: int, mask: int) -> frozenset[Root]:
     return frozenset([table[k] for k in mask_bits(mask)])
 
 
-@dataclass(frozen=True)
-class NeighborSet:
+class NeighborSet(Record):
     """The set E_w of positive roots alpha with w*s_alpha covered by w, as a
     root bitmask: bit k is set when `positive_roots(n)[k]` is in E_w."""
 
     owner: WeylElem
     mask: int
+
+    def __init__(self, owner: WeylElem, mask: int):
+        vars(self).update(owner=owner, mask=mask)
 
     @functools.cached_property
     def roots(self) -> frozenset[Root]:

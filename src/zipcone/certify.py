@@ -17,7 +17,6 @@ without a known closed form, such as the `farkas` verb's user targets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -36,11 +35,10 @@ from .cones import (
     support,
 )
 from .hasse import PathReport, PathStep, _Fragments, _json_list, descent_path
-from .weylroot import Character, Root, WeylElem
+from .weylroot import Character, Record, Root, WeylElem
 
 
-@dataclass(frozen=True)
-class EnvelopeCheck:
+class EnvelopeCheck(Record):
     """One ledger line of the certificate.
 
     Evaluation lines pin a generator against a functional with the exact
@@ -50,10 +48,20 @@ class EnvelopeCheck:
 
     label: str
     functional: IntRow
-    generator: Optional[Character] = None
-    value: Optional[int | Fraction] = None
-    multipliers: Optional[tuple[int | Fraction, ...]] = None
-    ok: bool = False
+    generator: Optional[Character]
+    value: Optional[int | Fraction]
+    multipliers: Optional[tuple[int | Fraction, ...]]
+    ok: bool
+
+    def __init__(
+        self, label: str, functional: IntRow, generator: Optional[Character] = None,
+        value: Optional[int | Fraction] = None,
+        multipliers: Optional[tuple[int | Fraction, ...]] = None, ok: bool = False,
+    ):
+        vars(self).update(
+            label=label, functional=functional, generator=generator, value=value,
+            multipliers=multipliers, ok=ok,
+        )
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -69,8 +77,7 @@ class EnvelopeCheck:
         return out
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A verification run: path, envelope generators, per-check ledger, verdict."""
 
     n: int
@@ -80,6 +87,15 @@ class Certificate:
     ha_weights: tuple[Character, ...]
     checks: tuple[EnvelopeCheck, ...]
     verdict: str
+
+    def __init__(
+        self, n: int, p: int, path: tuple[PathStep, ...], base_generators: tuple[Character, ...],
+        ha_weights: tuple[Character, ...], checks: tuple[EnvelopeCheck, ...], verdict: str,
+    ):
+        vars(self).update(
+            n=n, p=p, path=path, base_generators=base_generators, ha_weights=ha_weights,
+            checks=checks, verdict=verdict,
+        )
 
     @property
     def passed(self) -> bool:

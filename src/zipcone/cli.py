@@ -72,6 +72,7 @@ MAX_CERT_RANK = 64
 MAX_GS_RANK = 128
 MAX_PHA_WMAX_RANK = 224
 MAX_PHA_RANK = 300
+MAX_CANONICAL_RANK = 300  # weyl --canonical: no other verb takes a larger rank
 
 
 class UsageError(Exception):
@@ -207,6 +208,8 @@ def _cmd_weyl(args) -> int:
     if args.canonical:
         if args.n is None:
             raise UsageError("--canonical requires --n")
+        if args.n > MAX_CANONICAL_RANK:
+            raise UsageError(f"--canonical needs rank at most {MAX_CANONICAL_RANK}, got {args.n}")
         ce = canonical_elements(args.n)
         payload["canonical"] = {
             "w0": str(ce.w0),

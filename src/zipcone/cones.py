@@ -9,7 +9,6 @@ multiplying through by p, so every certificate is bit-exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -19,6 +18,7 @@ from .weylroot import (
     AnyCharacter,
     Character,
     RatCharacter,
+    Record,
     Root,
     WeylElem,
     levi_simple_roots,
@@ -56,8 +56,7 @@ def coroot_functional(alpha: Root, n: int, scale: int = 1) -> IntRow:
     return tuple(scale * c for c in alpha.coroot_row(n)) + (0,)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """A polyhedral cone {x : f(x) <= 0 for all rows f}, with optional generators.
 
     When generators are present the constructor checks that every generator
@@ -67,8 +66,15 @@ class Cone:
 
     dim: int
     hform: tuple[IntRow, ...]
-    vform: Optional[tuple[IntRow, ...]] = None
-    label: str = ""
+    vform: Optional[tuple[IntRow, ...]]
+    label: str
+
+    def __init__(
+        self, dim: int, hform: tuple[IntRow, ...], vform: Optional[tuple[IntRow, ...]] = None,
+        label: str = "",
+    ):
+        vars(self).update(dim=dim, hform=hform, vform=vform, label=label)
+        self.__post_init__()
 
     def __post_init__(self):
         for row in self.hform:
@@ -300,8 +306,7 @@ def _check_p(p: int) -> None:
 # Farkas certificates
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(Record):
     """Either nonnegative multipliers writing the target as a combination of
     the system rows (implication over the cone), or a rational witness in
     the cone violating the target.  Self-verifying on construction; both
@@ -309,8 +314,18 @@ class FarkasCertificate:
 
     target: IntRow
     system: tuple[IntRow, ...]
-    multipliers: Optional[tuple[int | Fraction, ...]] = None
-    witness: Optional[tuple[Fraction, ...]] = None
+    multipliers: Optional[tuple[int | Fraction, ...]]
+    witness: Optional[tuple[Fraction, ...]]
+
+    def __init__(
+        self, target: IntRow, system: tuple[IntRow, ...],
+        multipliers: Optional[tuple[int | Fraction, ...]] = None,
+        witness: Optional[tuple[Fraction, ...]] = None,
+    ):
+        vars(self).update(
+            target=target, system=system, multipliers=multipliers, witness=witness
+        )
+        self.__post_init__()
 
     def __post_init__(self):
         if (self.multipliers is None) == (self.witness is None):
@@ -390,8 +405,7 @@ def farkas_implies(target: Sequence[int], system) -> FarkasCertificate:
 # stratum weight cones through the Hasse maps
 
 
-@dataclass(frozen=True)
-class PhaMembership:
+class PhaMembership(Record):
     """Saturated membership result for a stratum weight cone, with the exact
     preimage character and its lattice flags."""
 
@@ -399,6 +413,13 @@ class PhaMembership:
     chi: RatCharacter
     chi_integral: bool
     chi_parity_ok: bool
+
+    def __init__(
+        self, member: bool, chi: RatCharacter, chi_integral: bool, chi_parity_ok: bool
+    ):
+        vars(self).update(
+            member=member, chi=chi, chi_integral=chi_integral, chi_parity_ok=chi_parity_ok
+        )
 
 
 def pha_w_member(lam: AnyCharacter, w: WeylElem, p: int) -> PhaMembership:

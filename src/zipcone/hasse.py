@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 
 from . import kernels, linalg
 from .bruhat import (
@@ -35,6 +34,7 @@ from .weylroot import (
     AnyCharacter,
     Character,
     RatCharacter,
+    Record,
     Root,
     RootKind,
     WeylElem,
@@ -54,8 +54,7 @@ from .weylroot import (
 # the weight map
 
 
-@dataclass(frozen=True)
-class HasseMap:
+class HasseMap(Record):
     """The linear map chi -> -w(chi) + p*wmax(chi) on (a_1..a_n, b).
 
     Integer matrix, invertible over Q for every w and every p >= 2 (the
@@ -65,6 +64,9 @@ class HasseMap:
     w: WeylElem
     p: int
     matrix: tuple[tuple[int, ...], ...]
+
+    def __init__(self, w: WeylElem, p: int, matrix: tuple[tuple[int, ...], ...]):
+        vars(self).update(w=w, p=p, matrix=matrix)
 
     def inverse_apply(self, lam: AnyCharacter) -> RatCharacter:
         """Exact rational preimage."""
@@ -111,8 +113,7 @@ def anchor_element(n: int, d: int) -> WeylElem:
     return WeylElem._trusted(tuple(window))
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(Record):
     """One step of the descent path: the element w = tau_d^(i), the step root
     beta = e_{i+1} - e_{d+1}, the cutting character chi = e_{i+1}, the
     weight ha of the corresponding partial Hasse invariant (computed value),
@@ -127,6 +128,15 @@ class PathStep:
     ha: Character
     ha_closed_form: Character
     first_term_relation: str
+
+    def __init__(
+        self, d: int, i: int, w: WeylElem, beta: Root, chi: Character, ha: Character,
+        ha_closed_form: Character, first_term_relation: str,
+    ):
+        vars(self).update(
+            d=d, i=i, w=w, beta=beta, chi=chi, ha=ha, ha_closed_form=ha_closed_form,
+            first_term_relation=first_term_relation,
+        )
 
 
 def descent_path(n: int, p: int) -> list[PathStep]:
@@ -296,8 +306,7 @@ def eset_verified(n: int, d: int, i: int) -> frozenset[Root]:
 # step-by-step verification report
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(Record):
     d: int
     i: int
     window: str
@@ -317,6 +326,26 @@ class StepReport:
     pipeline_in_lmin: bool
     closed_form_in_lmin: bool
 
+    def __init__(
+        self, d: int, i: int, window: str, computed_eset: tuple[str, ...],
+        reference_eset: tuple[str, ...], verified_eset: tuple[str, ...],
+        matches_reference: bool, matches_verified: bool, extra_vs_reference: tuple[str, ...],
+        oracle_agrees: bool, separating: bool, chi_orthogonal: bool, pipeline_weight: str,
+        closed_form_weight: str, first_term_relation: str, second_term_agrees: bool,
+        pipeline_in_lmin: bool, closed_form_in_lmin: bool,
+    ):
+        # in field order: to_json_dict reads vars(self)
+        vars(self).update(
+            d=d, i=i, window=window, computed_eset=computed_eset,
+            reference_eset=reference_eset, verified_eset=verified_eset,
+            matches_reference=matches_reference, matches_verified=matches_verified,
+            extra_vs_reference=extra_vs_reference, oracle_agrees=oracle_agrees,
+            separating=separating, chi_orthogonal=chi_orthogonal,
+            pipeline_weight=pipeline_weight, closed_form_weight=closed_form_weight,
+            first_term_relation=first_term_relation, second_term_agrees=second_term_agrees,
+            pipeline_in_lmin=pipeline_in_lmin, closed_form_in_lmin=closed_form_in_lmin,
+        )
+
     @property
     def passed(self) -> bool:
         """Everything the downstream certificate relies on; closed-form
@@ -335,11 +364,13 @@ class StepReport:
         return {**vars(self), "passed": self.passed}
 
 
-@dataclass(frozen=True)
-class PathReport:
+class PathReport(Record):
     n: int
     p: int
     steps: tuple[StepReport, ...]
+
+    def __init__(self, n: int, p: int, steps: tuple[StepReport, ...]):
+        vars(self).update(n=n, p=p, steps=steps)
 
     @property
     def all_passed(self) -> bool:

@@ -3,14 +3,13 @@
 Characters are (n+1)-tuples (a_1, ..., a_n | b); the b coordinate pairs to
 zero with every coroot and is fixed by the Weyl action.  Weyl elements are
 mirror windows: permutations w of {1, ..., 2n} with w(i) + w(2n+1-i) = 2n+1.
-Everything is immutable and exact.
+Everything is immutable and exact: the package's value types are `Record`s.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from operator import attrgetter
@@ -21,15 +20,60 @@ from . import kernels
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass declares its fields as annotations and sets them in its own
+    `__init__`; a class that validates does so in `__post_init__`, called
+    at the end of `__init__`.  Instances equal only instances of the same
+    class with equal fields, hash as the tuple of their fields, print as
+    `Cls(field=value, ...)` and refuse assignment and deletion.  That is
+    what a frozen dataclass gives, without importing `dataclasses` (and
+    through it `inspect`) or compiling generated methods when the package
+    loads.  Instances keep a `__dict__`, for `functools.cached_property`.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        get = attrgetter(*fields)
+        # the tuple of field values; attrgetter of one name gives the bare value
+        cls._key = get if len(fields) > 1 else staticmethod(lambda x: (get(x),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # characters
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """Integer character (a_1, ..., a_n | b)."""
 
     a: tuple[int, ...]
-    b: int = 0
+    b: int
+
+    def __init__(self, a: tuple[int, ...], b: int = 0):
+        vars(self).update(a=a, b=b)
+        self.__post_init__()
 
     def __post_init__(self):
         if not all(map(int.__instancecheck__, self.a)) or not isinstance(self.b, int):
@@ -84,12 +128,15 @@ class Character:
         return ",".join(map(str, self.a)) + "|" + str(self.b)
 
 
-@dataclass(frozen=True)
-class RatCharacter:
+class RatCharacter(Record):
     """Rational character; same shape as Character without the parity notion."""
 
     a: tuple[Fraction, ...]
-    b: Fraction = Fraction(0)
+    b: Fraction
+
+    def __init__(self, a: tuple[Fraction, ...], b: Fraction = Fraction(0)):
+        vars(self).update(a=a, b=b)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
@@ -180,15 +227,24 @@ class RootKind(IntEnum):
     LONG = 2  # 2 e_i
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+@functools.total_ordering
+class Root(Record):
     """A positive root of the rank-n system: e_i - e_j, e_i + e_j or 2 e_i.
 
     Roots order by family (as numbered in RootKind), then i, then j."""
 
     kind: RootKind
     i: int
-    j: int = 0  # 0 for long roots
+    j: int  # 0 for long roots
+
+    def __init__(self, kind: RootKind, i: int, j: int = 0):
+        vars(self).update(kind=kind, i=i, j=j)
+        self.__post_init__()
+
+    def __lt__(self, other):
+        if other.__class__ is not Root:
+            return NotImplemented
+        return root_order(self) < root_order(other)
 
     def __post_init__(self):
         if self.kind is RootKind.LONG:
@@ -265,8 +321,8 @@ class Root:
         raise ValueError(f"cannot parse root {text!r}")
 
 
-# the sort key of the root order: the fields Root's generated comparisons
-# read, taken in C instead of through a Python-level __lt__ per comparison
+# the sort key of the root order: the fields Root's __lt__ compares, taken
+# in C instead of through a Python-level __lt__ per comparison
 root_order = attrgetter("kind", "i", "j")
 
 
@@ -343,8 +399,7 @@ def is_I_dominant(lam: AnyCharacter) -> bool:
 # Weyl elements
 
 
-@dataclass(frozen=True)
-class WeylElem:
+class WeylElem(Record):
     """A mirror window (w(1), ..., w(2n)).
 
     Windows are validated once, at the boundary: the public constructor,
@@ -355,6 +410,10 @@ class WeylElem:
     """
 
     window: tuple[int, ...]
+
+    def __init__(self, window: tuple[int, ...]):
+        object.__setattr__(self, "window", window)
+        self.__post_init__()
 
     def __post_init__(self):
         w = tuple(int(x) for x in self.window)

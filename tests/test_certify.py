@@ -1,7 +1,6 @@
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,12 @@ from zipcone.certify import Certificate, EnvelopeCheck, envelope_certificate
 from zipcone.cones import lmin_member
 from zipcone.hasse import descent_path, verify_path_lemmas
 from zipcone.weylroot import Character
+
+
+def replace(record, **changes):
+    """A copy of a record with some fields changed."""
+    fields = {f: getattr(record, f) for f in type(record).__annotations__}
+    return type(record)(**{**fields, **changes})
 
 
 def test_envelope_rank1_trivial_pass():

@@ -487,6 +487,29 @@ def test_cone_check_refuses_pha_above_rank_limit(capsys, monkeypatch):
     _refuse_cone_above(capsys, monkeypatch, "pha", MAX_PHA_RANK, w0)
 
 
+def test_weyl_refuses_canonical_above_rank_limit(capsys, monkeypatch):
+    """At the limit the four windows are printed; one rank above it the
+    CLI exits 2 before building any of them."""
+    import zipcone.cli
+    from zipcone.cli import MAX_CANONICAL_RANK
+
+    code, out, _ = invoke(capsys, "weyl", "--n", str(MAX_CANONICAL_RANK), "--canonical", "--json")
+    assert code == 0
+    w0 = " ".join(map(str, range(2 * MAX_CANONICAL_RANK, 0, -1)))
+    assert json.loads(out)["canonical"]["w0"] == w0
+
+    def no_windows(*args, **kwargs):
+        raise AssertionError("a refused --canonical must build no window")
+
+    monkeypatch.setattr(zipcone.cli, "canonical_elements", no_windows)
+    bad = MAX_CANONICAL_RANK + 1
+    assert_refused(
+        capsys,
+        ["weyl", "--n", str(bad), "--canonical"],
+        f"--canonical needs rank at most {MAX_CANONICAL_RANK}, got {bad}",
+    )
+
+
 def test_closed_stdout_prints_no_traceback():
     """A reader that stops early (`| head -c 10`) closes the pipe; the CLI
     exits 1, as Python does on EPIPE, without a traceback."""
@@ -674,6 +697,25 @@ def subprocess_env() -> dict:
     this suite imports it from."""
     src = str(Path(zipcone.__file__).resolve().parent.parent)
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    """`import zipcone.cli` loads every package module, so each verb's first
+    call pays no import, and never `dataclasses` or `inspect`, whose
+    imports cost about a fifth of a whole invocation.  -S keeps site hooks
+    from importing modules the package does not."""
+    package = Path(zipcone.__file__).resolve().parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(package.parent)!r}); import zipcone.cli; "
+        "print(' '.join(sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(out.split())
+    assert not loaded & {"dataclasses", "inspect"}
+    modules = {f"zipcone.{p.stem}" for p in package.glob("*.py") if not p.stem.startswith("__")}
+    assert modules <= loaded
 
 
 def test_python_dash_m_runs_the_cli(capsys):

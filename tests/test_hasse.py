@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +29,12 @@ from zipcone.weylroot import (
     random_element,
     weyl_elements,
 )
+
+
+def replace(record, **changes):
+    """A copy of a record with some fields changed."""
+    fields = {f: getattr(record, f) for f in type(record).__annotations__}
+    return type(record)(**{**fields, **changes})
 
 
 def test_hasse_map_rejects_small_p():
