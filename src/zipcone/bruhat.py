@@ -11,9 +11,9 @@ a root bitmask: bit k stands for `positive_roots(n)[k]`.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
 
 from . import kernels
 from .weylroot import (

@@ -17,8 +17,9 @@ without a known closed form, such as the `farkas` verb's user targets.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
 
 # farkas_implies is unused here but stays importable as certify.farkas_implies:
 # perfbench/selftest.py checks that its tracer rebinds this copy.
@@ -48,15 +49,15 @@ class EnvelopeCheck(Record):
 
     label: str
     functional: IntRow
-    generator: Optional[Character]
-    value: Optional[int | Fraction]
-    multipliers: Optional[tuple[int | Fraction, ...]]
+    generator: Character | None
+    value: int | Fraction | None
+    multipliers: tuple[int | Fraction, ...] | None
     ok: bool
 
     def __init__(
-        self, label: str, functional: IntRow, generator: Optional[Character] = None,
-        value: Optional[int | Fraction] = None,
-        multipliers: Optional[tuple[int | Fraction, ...]] = None, ok: bool = False,
+        self, label: str, functional: IntRow, generator: Character | None = None,
+        value: int | Fraction | None = None,
+        multipliers: tuple[int | Fraction, ...] | None = None, ok: bool = False,
     ):
         vars(self).update(
             label=label, functional=functional, generator=generator, value=value,
@@ -78,31 +79,39 @@ class EnvelopeCheck(Record):
 
 
 class Certificate(Record):
-    """A verification run: path, envelope generators, per-check ledger, verdict."""
+    """A verification run: path, envelope generators, ledger, verdict.
+
+    The ledger holds each check as a plain tuple in `EnvelopeCheck` field
+    order, (label, functional, generator, value, multipliers, ok); `checks`
+    builds the `EnvelopeCheck` records from it on first read."""
 
     n: int
     p: int
     path: tuple[PathStep, ...]
     base_generators: tuple[Character, ...]
     ha_weights: tuple[Character, ...]
-    checks: tuple[EnvelopeCheck, ...]
+    ledger: tuple[tuple, ...]
     verdict: str
 
     def __init__(
         self, n: int, p: int, path: tuple[PathStep, ...], base_generators: tuple[Character, ...],
-        ha_weights: tuple[Character, ...], checks: tuple[EnvelopeCheck, ...], verdict: str,
+        ha_weights: tuple[Character, ...], ledger: tuple[tuple, ...], verdict: str,
     ):
         vars(self).update(
             n=n, p=p, path=path, base_generators=base_generators, ha_weights=ha_weights,
-            checks=checks, verdict=verdict,
+            ledger=ledger, verdict=verdict,
         )
 
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
+    @cached_property
+    def checks(self) -> tuple[EnvelopeCheck, ...]:
+        return tuple(EnvelopeCheck(*line) for line in self.ledger)
+
     def to_json_dict(self) -> dict:
-        """The structured view, and the reference for `to_json`."""
+        """The structured view, and the reference for `iter_json`."""
         return {
             "n": self.n,
             "p": self.p,
@@ -125,45 +134,48 @@ class Certificate(Record):
             "checks": [c.to_json_dict() for c in self.checks],
         }
 
-    def to_json(self, path_report: Optional[PathReport] = None) -> str:
-        """The text of `json.dumps(payload, indent=2, sort_keys=True)`, where
-        the payload is `to_json_dict()` plus `path_report.to_json_dict()` as
-        a top-level key when a report is given, rendered without building
-        the payload.
+    def to_json(self, path_report: PathReport | None = None) -> str:
+        """The blocks of `iter_json`, joined, for a caller that wants one string."""
+        return "".join(self.iter_json(path_report))
 
-        The checks repeat a few dozen functional rows and far fewer
-        generators than checks, so each distinct row, generator, label and
-        (ok, value) ending is rendered once, and every check is one f-string
-        over those fragments, with its keys in sorted order; multipliers,
-        where a check has them, are rendered in place.  Every string is
-        quoted once by `json.dumps`.  `_json_list` writes the functional
-        rows from their integer entries, and the multiplier lists, path steps
-        and generator lists over those quotes.  The path report is its own
-        `to_json`, moved to its depth by indenting every line after the
-        first; that is exact because JSON strings never hold a raw newline.
-        The text is joined once from its pieces, since every further
-        concatenation would copy all of it again.
+    def iter_json(self, path_report: PathReport | None = None) -> Iterator[str]:
+        """The text of `json.dumps(payload, indent=2, sort_keys=True)` in
+        blocks, where the payload is `to_json_dict()` plus
+        `path_report.to_json_dict()` as a top-level key when a report is
+        given.  It is rendered from the ledger, building neither the payload
+        nor an `EnvelopeCheck`: the keys in sorted order, one block per run
+        of ledger lines that share a generator (one generator's lines, as
+        `envelope_certificate` writes them), then the path, the report and
+        the verdict, so a writer of the blocks never holds the whole text.
+        Each distinct row, string and (ok, value) ending is rendered once,
+        each line is one f-string with its keys in sorted order, and
+        `_json_list` writes the lists.  The report is its own `to_json`,
+        moved to its depth by indenting every line after the first; that is
+        exact because JSON strings never hold a raw newline.
         """
         quoted = _Fragments(json.dumps)
         rows = _Fragments(lambda row: _json_list(list(map(str, row)), 3))
-        gens = _Fragments(lambda gen: quoted[str(gen)])
         tails = _Fragments(_tail)
-        gen, gen_text = None, "null"
-        gens[None] = gen_text
-        checks = []
-        for c in self.checks:
-            # the generator's fragment is kept while consecutive checks share it,
-            # as envelope_certificate writes them, to skip hashing the character
-            if c.generator is not gen:
-                gen, gen_text = c.generator, gens[c.generator]
-            mults = "" if c.multipliers is None else (
-                f'\n      "multipliers": {_json_list([quoted[frac_str(m)] for m in c.multipliers], 3)},'
+        base = _json_list([quoted[str(g)] for g in self.base_generators], 1)
+        yield f'{{\n  "base_generators": {base},\n  "checks": ['
+        block, gen, gen_text, sep = [], None, "null", "\n    "
+        for label, row, generator, value, mults, ok in self.ledger:
+            if generator is not gen:
+                if block:
+                    yield "".join(block)
+                    block = []
+                gen, gen_text = generator, "null" if generator is None else quoted[str(generator)]
+            mults = "" if mults is None else (
+                f'\n      "multipliers": {_json_list([quoted[frac_str(m)] for m in mults], 3)},'
             )
-            checks += (
-                ",\n    ",
-                f'{{\n      "functional": {rows[c.functional]},\n      "generator": {gen_text},'
-                f'\n      "label": {quoted[c.label]},{mults}{tails[c.ok, c.value]}',
+            block.append(
+                f'{sep}{{\n      "functional": {rows[row]},\n      "generator": {gen_text},'
+                f'\n      "label": {quoted[label]},{mults}{tails[ok, value]}'
             )
+            sep = ",\n    "
+        yield "".join(block) + ("\n  ]" if self.ledger else "]")
+        weights = _json_list([quoted[str(h)] for h in self.ha_weights], 1)
+        yield f',\n  "ha_weights": {weights},\n  "n": {self.n},\n  "p": {self.p},\n  "path": '
         path = [
             f'{{\n      "beta": {quoted[str(s.beta)]},\n      "chi": {quoted[str(s.chi)]},'
             f'\n      "d": {s.d},\n      "first_term_relation": {quoted[s.first_term_relation]},'
@@ -171,28 +183,13 @@ class Certificate(Record):
             f'\n      "i": {s.i},\n      "window": {quoted[str(s.w)]}\n    }}'
             for s in self.path
         ]
-        fields = {
-            "n": [json.dumps(self.n)],
-            "p": [json.dumps(self.p)],
-            "path": [_json_list(path, 1)],
-            "base_generators": [_json_list([quoted[str(g)] for g in self.base_generators], 1)],
-            "ha_weights": [_json_list([quoted[str(h)] for h in self.ha_weights], 1)],
-            "verdict": [json.dumps(self.verdict)],
-            "checks": ["[\n    ", *checks[1:], "\n  ]"] if checks else ["[]"],
-        }
+        yield _json_list(path, 1)
         if path_report is not None:
-            fields["path_report"] = [path_report.to_json().replace("\n", "\n  ")]
-        parts = []
-        for k in sorted(fields):
-            parts += (",\n", f'  "{k}": ', *fields[k])
-        parts[0] = "{\n"
-        parts.append("\n}")
-        return "".join(parts)
+            yield ',\n  "path_report": ' + path_report.to_json().replace("\n", "\n  ")
+        yield f',\n  "verdict": {json.dumps(self.verdict)}\n}}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
-        n = int(data["n"])
-        p = int(data["p"])
         path = tuple(
             PathStep(
                 d=int(s["d"]),
@@ -206,30 +203,22 @@ class Certificate(Record):
             )
             for s in data["path"]
         )
-        checks = []
-        for c in data["checks"]:
-            checks.append(
-                EnvelopeCheck(
-                    label=c["label"],
-                    functional=tuple(int(x) for x in c["functional"]),
-                    generator=Character.parse(c["generator"])
-                    if c.get("generator")
-                    else None,
-                    value=Fraction(c["value"]) if "value" in c else None,
-                    multipliers=tuple(Fraction(m) for m in c["multipliers"])
-                    if "multipliers" in c
-                    else None,
-                    ok=bool(c["ok"]),
-                )
+        ledger = tuple(
+            (
+                c["label"],
+                tuple(int(x) for x in c["functional"]),
+                Character.parse(c["generator"]) if c.get("generator") else None,
+                Fraction(c["value"]) if "value" in c else None,
+                tuple(Fraction(m) for m in c["multipliers"]) if "multipliers" in c else None,
+                bool(c["ok"]),
             )
+            for c in data["checks"]
+        )
         return cls(
-            n=n,
-            p=p,
-            path=path,
-            base_generators=tuple(Character.parse(g) for g in data["base_generators"]),
-            ha_weights=tuple(Character.parse(h) for h in data["ha_weights"]),
-            checks=tuple(checks),
-            verdict=data["verdict"],
+            int(data["n"]), int(data["p"]), path,
+            tuple(Character.parse(g) for g in data["base_generators"]),
+            tuple(Character.parse(h) for h in data["ha_weights"]),
+            ledger, data["verdict"],
         )
 
 
@@ -269,35 +258,21 @@ def envelope_certificate(n: int, p: int) -> Certificate:
     steps = tuple(descent_path(n, p))
     ha_weights = tuple(s.ha for s in steps)
 
-    checks: list[EnvelopeCheck] = []
+    ledger = []
     prefix_rows = [(f"prefix-{j}", prefix_functional(n, p, j)) for j in range(1, n + 1)]
     for gen in base_gens + ha_weights:
         entries = support(gen.vector())
         orbit_rows = list(zip(("orbit-long-worst", "orbit-sum-worst"), orbit_worst_rows(gen.a, p)))
         for label, row in orbit_rows + prefix_rows:
             value = sparse_value(row, entries)
-            checks.append(
-                EnvelopeCheck(label=label, functional=row, generator=gen, value=value, ok=value <= 0)
-            )
+            ledger.append((label, row, gen, value, None, value <= 0))
 
     for j, (_, row) in enumerate(prefix_rows, 1):
         cert = FarkasCertificate(row, base_cone.hform, multipliers=prefix_multipliers(n, p, j))
-        checks.append(
-            EnvelopeCheck(
-                label=f"prefix-{j}-from-base",
-                functional=row,
-                multipliers=cert.multipliers,
-                ok=cert.implied,
-            )
-        )
+        ledger.append((f"prefix-{j}-from-base", row, None, None, cert.multipliers, cert.implied))
 
-    verdict = "PASS" if all(c.ok for c in checks) else "FAIL"
+    # the verdict reads each line's ok, its last field
     return Certificate(
-        n=n,
-        p=p,
-        path=steps,
-        base_generators=base_gens,
-        ha_weights=ha_weights,
-        checks=tuple(checks),
-        verdict=verdict,
+        n=n, p=p, path=steps, base_generators=base_gens, ha_weights=ha_weights,
+        ledger=tuple(ledger), verdict="PASS" if all(line[-1] for line in ledger) else "FAIL",
     )

@@ -84,15 +84,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Formatter(argparse.HelpFormatter):
+    # argparse builds a formatter in every add_argument only to check the
+    # metavar; this one reads the terminal width, importing shutil, when it
+    # first formats text
+    def __init__(self, prog):
+        self._prog = prog
+
+    def __getattr__(self, name):
+        if "_width" in vars(self):
+            raise AttributeError(name)
+        super().__init__(self._prog)
+        return getattr(self, name)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     # --help shows the docstring without its last paragraph, which is about
     # in-process use
-    parser = _Parser(prog="zipcone", description=__doc__.rpartition("\n\n")[0])
-    sub = parser.add_subparsers(dest="verb")
+    parser = _Parser(prog="zipcone", description=__doc__.rpartition("\n\n")[0], formatter_class=_Formatter)
+    # with a prog, add_subparsers formats no usage to derive one
+    sub = parser.add_subparsers(dest="verb", prog=parser.prog)
 
     def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, formatter_class=_Formatter, **kwargs)
         p.add_argument("--json", action="store_true", help="emit JSON")
         return p
 
@@ -344,9 +359,10 @@ def _cmd_farkas(args) -> int:
     return 0 if cert.implied else 1
 
 
-def _refuse_out(path, exc: OSError) -> int:
-    print(f"error: cannot write --out {path}: {exc.strerror or exc}", file=sys.stderr)
-    return 2
+def _out_error(path: str, exc: OSError) -> ValueError:
+    """The refusal of an --out path that cannot be written, which `run`
+    reports with exit 2."""
+    return ValueError(f"cannot write --out {path}: {exc.strerror or exc}")
 
 
 def _cmd_verify_theorem(args) -> int:
@@ -362,26 +378,34 @@ def _cmd_verify_theorem(args) -> int:
             if not existed:
                 os.remove(args.out)
         except OSError as exc:
-            return _refuse_out(args.out, exc)
+            raise _out_error(args.out, exc) from None
     cert = envelope_certificate(args.n, args.p)
     # the report checks the certificate's own path instead of walking it again
     report = check_path_steps(cert.n, cert.p, cert.path) if args.path_report else None
-    # one text for stdout and --out
-    text = cert.to_json(report) if args.json or args.out else None
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _refuse_out(args.out, exc)
-    ok_checks = sum(1 for c in cert.checks if c.ok)
-    lines = [
-        f"envelope generators: {len(cert.base_generators)} base + {len(cert.ha_weights)} path weights",
-        f"checks: {ok_checks}/{len(cert.checks)} ok",
-        f"verdict: {cert.verdict}",
-    ]
-    print(text if args.json else "\n".join(lines))
+    # stdout and --out take each block of the text as it is rendered
+    blocks = cert.iter_json(report) if args.json or args.out else ()
+    for block in _written(args.out, blocks) if args.out else blocks:
+        if args.json:
+            sys.stdout.write(block)
+    if args.json:
+        print()
+    else:
+        print(f"envelope generators: {len(cert.base_generators)} base + {len(cert.ha_weights)} path weights")
+        print(f"checks: {sum(ok for *_, ok in cert.ledger)}/{len(cert.ledger)} ok")
+        print(f"verdict: {cert.verdict}")
     return 0 if cert.passed else 1
+
+
+def _written(path: str, blocks):
+    """Each block, after it is written to the file at path.  Only the file's
+    errors are caught: the caller's own writes, to stdout, raise in its frame."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for block in blocks:
+                fh.write(block)
+                yield block
+    except OSError as exc:
+        raise _out_error(path, exc) from None
 
 
 def _cmd_enum_iw(args) -> int:

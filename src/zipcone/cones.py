@@ -9,9 +9,9 @@ multiplying through by p, so every certificate is bit-exact.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .weylroot import (
@@ -66,11 +66,11 @@ class Cone(Record):
 
     dim: int
     hform: tuple[IntRow, ...]
-    vform: Optional[tuple[IntRow, ...]]
+    vform: tuple[IntRow, ...] | None
     label: str
 
     def __init__(
-        self, dim: int, hform: tuple[IntRow, ...], vform: Optional[tuple[IntRow, ...]] = None,
+        self, dim: int, hform: tuple[IntRow, ...], vform: tuple[IntRow, ...] | None = None,
         label: str = "",
     ):
         vars(self).update(dim=dim, hform=hform, vform=vform, label=label)
@@ -314,13 +314,13 @@ class FarkasCertificate(Record):
 
     target: IntRow
     system: tuple[IntRow, ...]
-    multipliers: Optional[tuple[int | Fraction, ...]]
-    witness: Optional[tuple[Fraction, ...]]
+    multipliers: tuple[int | Fraction, ...] | None
+    witness: tuple[Fraction, ...] | None
 
     def __init__(
         self, target: IntRow, system: tuple[IntRow, ...],
-        multipliers: Optional[tuple[int | Fraction, ...]] = None,
-        witness: Optional[tuple[Fraction, ...]] = None,
+        multipliers: tuple[int | Fraction, ...] | None = None,
+        witness: tuple[Fraction, ...] | None = None,
     ):
         vars(self).update(
             target=target, system=system, multipliers=multipliers, witness=witness

@@ -14,9 +14,9 @@ checked exactly by `cones.FarkasCertificate`, and never call it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -90,7 +90,7 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(_bareiss(mat, len(mat[0]))[0]) if mat else 0
 
 
-def solve_square(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
+def solve_square(a: Sequence[Sequence], b: Sequence) -> Vector | None:
     """Solve a square rational system exactly; None when singular.
 
     Each augmented row is cleared of denominators.  By Cramer's rule d * x is

@@ -13,8 +13,8 @@ import itertools
 from enum import IntEnum
 from fractions import Fraction
 from operator import attrgetter
+from collections.abc import Iterator, Mapping
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
 
 from . import kernels
 
@@ -181,7 +181,7 @@ class RatCharacter(Record):
         return ",".join(map(str, self.a)) + "|" + str(self.b)
 
 
-AnyCharacter = Union[Character, RatCharacter]
+AnyCharacter = Character | RatCharacter
 
 
 def _parse_entry(part: str) -> int | Fraction:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from zipcone import cones, hasse, linalg, weylroot
 from zipcone.certify import Certificate, EnvelopeCheck, envelope_certificate
 from zipcone.cones import lmin_member
-from zipcone.hasse import descent_path, verify_path_lemmas
+from zipcone.hasse import check_path_steps, descent_path, verify_path_lemmas
 from zipcone.weylroot import Character
 
 
@@ -18,6 +18,11 @@ def replace(record, **changes):
     """A copy of a record with some fields changed."""
     fields = {f: getattr(record, f) for f in type(record).__annotations__}
     return type(record)(**{**fields, **changes})
+
+
+def line(check: EnvelopeCheck) -> tuple:
+    """A check as a certificate ledger line: its fields, in order."""
+    return tuple(getattr(check, f) for f in type(check).__annotations__)
 
 
 def test_envelope_rank1_trivial_pass():
@@ -233,15 +238,45 @@ HAND_BUILT_CHECKS = {
 @pytest.mark.parametrize("kind", sorted(HAND_BUILT_CHECKS))
 def test_to_json_matches_the_payload_dump_on_hand_built_checks(kind):
     real = envelope_certificate(2, 3)
-    check = HAND_BUILT_CHECKS[kind]
-    assert_renders_like_reference(replace(real, checks=real.checks[:3] + (check,) + real.checks[3:]))
-    assert_renders_like_reference(replace(real, checks=(check,)))
+    check = line(HAND_BUILT_CHECKS[kind])
+    assert_renders_like_reference(replace(real, ledger=real.ledger[:3] + (check,) + real.ledger[3:]))
+    assert_renders_like_reference(replace(real, ledger=(check,)))
 
 
 def test_to_json_matches_the_payload_dump_on_a_failed_or_empty_ledger():
     real = envelope_certificate(2, 3)
-    bad = replace(real.checks[0], value=Fraction(5), ok=False)
-    failed = replace(real, checks=(bad,) + real.checks[1:], verdict="FAIL")
+    bad = line(replace(real.checks[0], value=Fraction(5), ok=False))
+    failed = replace(real, ledger=(bad,) + real.ledger[1:], verdict="FAIL")
     assert not failed.passed
     assert_renders_like_reference(failed)
-    assert_renders_like_reference(replace(real, checks=()))
+    assert_renders_like_reference(replace(real, ledger=()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 10), p=st.sampled_from([2, 3, 5, 7, 13]), with_report=st.booleans())
+def test_iter_json_blocks_join_to_the_payload_dump(n, p, with_report):
+    """The blocks join to the reference text, with one block per
+    generator's ledger lines, so a writer of the blocks never holds more
+    than one generator's lines at a time."""
+    cert = envelope_certificate(n, p)
+    report = check_path_steps(n, p, cert.path) if with_report else None
+    blocks = list(cert.iter_json(report))
+    assert_same_text("".join(blocks), reference_json(cert, report and report.to_json_dict()))
+    generators = len(cert.base_generators) + len(cert.ha_weights)
+    assert sum('"generator": "' in b for b in blocks) == generators
+    assert all(b.count('"generator": "') == n + 2 - (n == 1) for b in blocks if '"generator": "' in b)
+
+
+def test_the_build_and_the_text_make_no_check_records(monkeypatch):
+    """The ledger is plain tuples; `checks` builds the records on first read."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an EnvelopeCheck was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(EnvelopeCheck, "__init__", refuse)
+        cert = envelope_certificate(5, 3)
+        text = cert.to_json()
+    assert "checks" not in vars(cert)
+    assert [line(c) for c in cert.checks] == list(cert.ledger)
+    assert cert.checks is cert.checks
+    assert text == reference_json(cert)

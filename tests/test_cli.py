@@ -636,6 +636,78 @@ def test_verify_theorem_refused_build_leaves_no_out_file(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_verify_theorem_streams_without_check_records_or_a_joined_text(capsys, tmp_path, monkeypatch):
+    """`verify-theorem` writes the certificate blocks from the ledger: it
+    builds no `EnvelopeCheck` and never calls `to_json`, and its bytes are
+    still the payload dump."""
+    from zipcone.certify import Certificate, EnvelopeCheck, envelope_certificate
+    from zipcone.hasse import verify_path_lemmas
+
+    cert = envelope_certificate(4, 5)
+    payload = {**cert.to_json_dict(), "path_report": verify_path_lemmas(4, 5).to_json_dict()}
+    reference = json.dumps(payload, indent=2, sort_keys=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI built a check record or joined the text")
+
+    monkeypatch.setattr(EnvelopeCheck, "__init__", refuse)
+    monkeypatch.setattr(Certificate, "to_json", refuse)
+    target = tmp_path / "cert.json"
+    argv = ["verify-theorem", "--n", "4", "--p", "5", "--path-report", "--out", str(target)]
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 0
+    assert out == reference + "\n"
+    assert target.read_text() == reference
+    target.unlink()
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "envelope generators: 6 base + 6 path weights", "checks: 76/76 ok", "verdict: PASS",
+    ]
+    assert target.read_text() == reference
+
+
+def test_verify_theorem_out_failing_mid_stream_exits_2(capsys, tmp_path, monkeypatch):
+    """A write to --out that fails after the first block ends the run with
+    exit 2 and the --out message, no traceback; stdout stops at the last
+    block the file took."""
+    import builtins
+
+    import zipcone.cli
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def close(self):
+            self.fh.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(text)
+
+    target = tmp_path / "cert.json"
+    code, whole, _ = invoke(capsys, "verify-theorem", "--n", "3", "--p", "5", "--json")
+    assert code == 0
+    monkeypatch.setattr(zipcone.cli, "open", lambda *a, **k: FullDisk(builtins.open(*a, **k)), raising=False)
+    for flags in ((), ("--json",)):
+        code, out, err = invoke(capsys, "verify-theorem", "--n", "3", "--p", "5", "--out", str(target), *flags)
+        assert code == 2
+        assert f"error: cannot write --out {target}: No space left on device" in err
+        assert "Traceback" not in err
+        first = target.read_text()
+        assert first and whole.startswith(first) and len(first) < len(whole) // 2
+        assert out == (first if flags else "")
+
+
 def test_verify_theorem_out_replaces_an_existing_file(capsys, tmp_path):
     target = tmp_path / "cert.json"
     target.write_text("x" * 100_000)
@@ -702,20 +774,24 @@ def subprocess_env() -> dict:
 def test_cli_import_loads_every_module_and_no_dataclasses():
     """`import zipcone.cli` loads every package module, so each verb's first
     call pays no import, and never `dataclasses` or `inspect`, whose
-    imports cost about a fifth of a whole invocation.  -S keeps site hooks
-    from importing modules the package does not."""
+    imports cost about a fifth of a whole invocation, nor `typing`.  The
+    argument parser, built on the first `run`, does not import `shutil`
+    either: argparse reads the terminal width through it, which only help
+    and usage text need.  -S keeps site hooks from importing modules the
+    package does not."""
     package = Path(zipcone.__file__).resolve().parent
     code = (
         f"import sys; sys.path.insert(0, {str(package.parent)!r}); import zipcone.cli; "
-        "print(' '.join(sys.modules))"
+        "print(' '.join(sys.modules)); zipcone.cli._build_parser(); print(' '.join(sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    loaded = set(out.split())
-    assert not loaded & {"dataclasses", "inspect"}
+    imported, built = (set(line.split()) for line in out.splitlines())
+    assert not imported & {"dataclasses", "inspect", "typing"}
+    assert not built & {"dataclasses", "inspect", "typing", "shutil"}
     modules = {f"zipcone.{p.stem}" for p in package.glob("*.py") if not p.stem.startswith("__")}
-    assert modules <= loaded
+    assert modules <= imported
 
 
 def test_python_dash_m_runs_the_cli(capsys):
