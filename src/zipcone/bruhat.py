@@ -19,6 +19,7 @@ from . import kernels
 from .weylroot import (
     Record,
     Root,
+    RootKind,
     WeylElem,
     compose,
     levi_elements,
@@ -97,18 +98,25 @@ def _pair_roots(n: int) -> Mapping[tuple[int, int], tuple[PairClass, Root, int, 
 
 @functools.lru_cache(maxsize=32)
 def _pair_rows(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """`_pair_roots(n)` as the row table of `kernels.admissible_mask`: row
-    i-1 holds two tuples indexed by j-1, the root index of the pair (i, j)
-    when w(i) <= n and when w(i) > n, or -1 where the pair has no class.
-    Built once per rank, on first use."""
-    m = 2 * n
-    rows = [([-1] * m, [-1] * m) for _ in range(n)]
-    for (i, j), (_, _, bound, index) in _pair_roots(n).items():
-        low, high = rows[i - 1]
-        low[j - 1] = index
-        if bound == m:
-            high[j - 1] = index
-    return tuple((tuple(low), tuple(high)) for low, high in rows)
+    """The classes of `_pair_roots(n)` as the row table of
+    `kernels.admissible_mask`: row i-1 holds two tuples indexed by j-1, the
+    root index of the pair (i, j) when w(i) <= n and when w(i) > n, or -1
+    where the pair has no class.  Read off the `root_index` formula, with no
+    `Root` built: the E1 pairs (i, j <= n) are the consecutive indices of
+    e_i - e_j, the E2 pair (i, 2n+1-k) is e_i + e_k or e_k + e_i, present
+    only when w(i) <= n, and the E3 pair (i, 2n+1-i) is 2e_i.  Built once
+    per rank, on first use."""
+    sums = n * (n - 1) // 2
+    rows = []
+    for i in range(1, n + 1):
+        start = root_index(n, RootKind.DIFF, i, i + 1)
+        diffs = [-1] * i + list(range(start, start + n - i))
+        # j = 2n+1-k for k = n down to 1: e_i + e_k, and 2e_i at k = i
+        low = [sums + root_index(n, RootKind.DIFF, min(i, k), max(i, k)) for k in range(n, 0, -1)]
+        high = [-1] * n
+        low[n - i] = high[n - i] = root_index(n, RootKind.LONG, i)
+        rows.append((tuple(diffs + low), tuple(diffs + high)))
+    return tuple(rows)
 
 
 def admissible_pairs(w: WeylElem) -> list[AdmissiblePair]:
@@ -173,7 +181,7 @@ def lower_neighbors(w: WeylElem) -> NeighborSet:
     return NeighborSet(w, lower_neighbor_mask(w.window))
 
 
-def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:
+def lower_neighbors_oracle(w: WeylElem, previous: NeighborSet | None = None) -> NeighborSet:
     """E_w by brute force: test every positive root for a length drop of one.
 
     Bruhat order is graded by length and w * s_alpha is comparable with w,
@@ -184,8 +192,19 @@ def lower_neighbors_oracle(w: WeylElem) -> NeighborSet:
     prefix value masks in O(n) and reads each root's length change off them
     in O(1) word operations, O(n^2) in all, without building w * s_alpha;
     mirror symmetry lets it evaluate one swap per root.
+
+    Along a walk, `previous` is this oracle's own answer for the element
+    before w, never `lower_neighbors`' answer.  Then
+    `kernels.length_drops_after` starts from its mask and re-tests, from
+    the definition, only the roots whose first swap touches a position
+    where the two windows differ; its lemma shows that every other root
+    keeps its bit.  Without `previous`, and whenever the two windows
+    differ in more than four positions or by more than 1 at one of them,
+    every root is tested.
     """
-    return NeighborSet(w, kernels.length_drops(w.window))
+    if previous is None:
+        return NeighborSet(w, kernels.length_drops(w.window))
+    return NeighborSet(w, kernels.length_drops_after(w.window, previous.owner.window, previous.mask))
 
 
 @functools.lru_cache(maxsize=32)
@@ -193,13 +212,11 @@ def _coroot_edges(n: int) -> tuple[tuple[int, int, int], ...]:
     """Bit k of a rank-n root bitmask as an edge (u, v, odd) of a signed
     graph on the 0-based indices: the coroot e_u - e_v is an even edge, e_u +
     e_v an odd one, and e_u an odd loop at u, which spans what the vector
-    e_u - (-e_u) = 2e_u spans.  Read-only, built once per rank."""
-    edges = []
-    for alpha in root_table(n):
-        (u, _), *rest = alpha.coroot
-        v, c = rest[0] if rest else (u, 1)
-        edges.append((u, v, int(c == 1)))
-    return tuple(edges)
+    e_u - (-e_u) = 2e_u spans.  In root order: the differences and the
+    sums, each over the pairs u < v in lexicographic order, then the long
+    roots.  Read-only, built once per rank."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return tuple([(u, v, 0) for u, v in pairs] + [(u, v, 1) for u, v in pairs] + [(u, u, 1) for u in range(n)])
 
 
 def _find(parent: list[int], parity: list[int], v: int) -> tuple[int, int]:

@@ -149,9 +149,8 @@ class Certificate(Record):
         the verdict, so a writer of the blocks never holds the whole text.
         Each distinct row, string and (ok, value) ending is rendered once,
         each line is one f-string with its keys in sorted order, and
-        `_json_list` writes the lists.  The report is its own `to_json`,
-        moved to its depth by indenting every line after the first; that is
-        exact because JSON strings never hold a raw newline.
+        `_json_list` writes the lists.  The report is its own `iter_json`,
+        one block per step, written at depth 1.
         """
         quoted = _Fragments(json.dumps)
         rows = _Fragments(lambda row: _json_list(list(map(str, row)), 3))
@@ -185,7 +184,8 @@ class Certificate(Record):
         ]
         yield _json_list(path, 1)
         if path_report is not None:
-            yield ',\n  "path_report": ' + path_report.to_json().replace("\n", "\n  ")
+            yield ',\n  "path_report": '
+            yield from path_report.iter_json(1)
         yield f',\n  "verdict": {json.dumps(self.verdict)}\n}}'
 
     @classmethod

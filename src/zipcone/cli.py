@@ -67,7 +67,7 @@ MAX_PRECEQ_RANK = 9  # bruhat --preceq visits all n! Levi elements
 # path, verify-theorem and cone-check grow polynomially, not exponentially:
 # each limit is the largest rank whose time is measured (README limits
 # table); cone-check's limits are the largest measured under about 5 s
-MAX_PATH_RANK = 64
+MAX_PATH_RANK = 128
 MAX_CERT_RANK = 64
 MAX_GS_RANK = 128
 MAX_PHA_WMAX_RANK = 224
@@ -284,7 +284,9 @@ def _cmd_path(args) -> int:
         raise UsageError(f"--n must be at most {MAX_PATH_RANK}, got {args.n}")
     report = verify_path_lemmas(args.n, args.p)
     if args.json:
-        print(report.to_json())
+        for block in report.iter_json():
+            sys.stdout.write(block)
+        print()
         return 0 if report.all_passed else 1
     lines = []
     for s in report.steps:

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterator
 
 from . import kernels, linalg
 from .bruhat import (
+    _coroot_edges,
     is_separating,
     lower_neighbors,
     lower_neighbors_oracle,
@@ -149,21 +151,23 @@ def descent_path(n: int, p: int) -> list[PathStep]:
     if n == 1:
         return []
     wmax = canonical_elements(n).wmax
+    roots = root_table(n)
+    swaps = reflection_swaps(n)
     steps = []
     w = anchor_element(n, 1)
     for d in range(1, n):
         if w != anchor_element(n, d):
             raise AssertionError(f"path must pass through the block window at d={d}")
         for i in range(0, d):
-            beta = Root.diff(i + 1, d + 1)
-            chi = Character.unit(n, i + 1)
+            beta = roots[root_index(n, RootKind.DIFF, i + 1, d + 1)]
+            chi = Character._trusted((0,) * i + (1,) + (0,) * (n - i - 1), 0)  # e_{i+1}
             ha = _unit_weight(n, p, w.window[i], wmax.window[i])
             if ha != step_weight(n, p, d, i):
                 raise AssertionError(f"step weight must be e_{{d-i}} - p*e_{{n-i}} at ({d}, {i})")
             closed = ha_closed_form(n, p, d, i)
             relation = compare_step_weights(n, p, d, i, ha)
             steps.append(PathStep(d, i, w, beta, chi, ha, closed, relation))
-            if kernels.length_change(w.window, reflection_swaps(n)[beta]) != -1:
+            if kernels.length_change(w.window, swaps[beta]) != -1:
                 raise AssertionError(f"length must drop by one at ({d}, {i})")
             w = compose(w, reflection(beta, n))
     if w != wmax:
@@ -183,7 +187,7 @@ def _unit_weight(n: int, p: int, w_value: int, wmax_value: int) -> Character:
             a[value - 1] += scale
         else:
             a[2 * n - value] -= scale
-    return Character(tuple(a), 0)
+    return Character._trusted(tuple(a), 0)
 
 
 def step_weight(n: int, p: int, d: int, i: int) -> Character:
@@ -213,7 +217,7 @@ def step_weight(n: int, p: int, d: int, i: int) -> Character:
     a = [0] * n
     a[d - i - 1] += 1      # e_{d-i}
     a[n - i - 1] -= p      # -p * e_{n-i}
-    return Character(tuple(a), 0)
+    return Character._trusted(tuple(a), 0)
 
 
 def ha_closed_form(n: int, p: int, d: int, i: int) -> Character:
@@ -225,7 +229,7 @@ def ha_closed_form(n: int, p: int, d: int, i: int) -> Character:
     a = [0] * n
     a[d - i] += 1          # e_{d-i+1}
     a[n - i - 1] -= p      # -p * e_{n-i}
-    return Character(tuple(a), 0)
+    return Character._trusted(tuple(a), 0)
 
 
 def _check_step(n: int, p: int, d: int, i: int) -> None:
@@ -392,44 +396,58 @@ class PathReport(Record):
         }
 
     def to_json(self) -> str:
+        """The blocks of `iter_json`, joined."""
+        return "".join(self.iter_json())
+
+    def iter_json(self, depth: int = 0) -> Iterator[str]:
         """The text of `json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True)`, written directly: `indent` would send the payload
-        through CPython's pure-Python encoder.  Each step is one f-string
-        with its keys in sorted order, written at the step's depth; each
-        distinct string is quoted once, through `json.dumps`, and each
-        distinct root list rendered once."""
+        sort_keys=True)` in blocks, written `depth` levels deep as the value
+        of an enclosing object's key: the head up to the steps, then one
+        block per step, then the close, so a writer of the blocks never
+        holds the whole text.  Written directly: `indent` would send the
+        payload through CPython's pure-Python encoder.  Each step is one
+        f-string with its keys in sorted order; each distinct string is
+        quoted once, through `json.dumps`, and each distinct root list
+        rendered once."""
+        pad = "\n" + "  " * depth
+        key = pad + "      "  # a step's keys, three levels below the report
         quoted = _Fragments(json.dumps)
-        lists = _Fragments(lambda items: _json_list([quoted[a] for a in items], 3))
-        steps = [
-            "{"
-            f'\n      "chi_orthogonal": {_BOOL[s.chi_orthogonal]},'
-            f'\n      "closed_form_in_lmin": {_BOOL[s.closed_form_in_lmin]},'
-            f'\n      "closed_form_weight": {quoted[s.closed_form_weight]},'
-            f'\n      "computed_eset": {lists[s.computed_eset]},'
-            f'\n      "d": {s.d},'
-            f'\n      "extra_vs_reference": {lists[s.extra_vs_reference]},'
-            f'\n      "first_term_relation": {quoted[s.first_term_relation]},'
-            f'\n      "i": {s.i},'
-            f'\n      "matches_reference": {_BOOL[s.matches_reference]},'
-            f'\n      "matches_verified": {_BOOL[s.matches_verified]},'
-            f'\n      "oracle_agrees": {_BOOL[s.oracle_agrees]},'
-            f'\n      "passed": {_BOOL[s.passed]},'
-            f'\n      "pipeline_in_lmin": {_BOOL[s.pipeline_in_lmin]},'
-            f'\n      "pipeline_weight": {quoted[s.pipeline_weight]},'
-            f'\n      "reference_eset": {lists[s.reference_eset]},'
-            f'\n      "second_term_agrees": {_BOOL[s.second_term_agrees]},'
-            f'\n      "separating": {_BOOL[s.separating]},'
-            f'\n      "verified_eset": {lists[s.verified_eset]},'
-            f'\n      "window": {quoted[s.window]}'
-            "\n    }"
-            for s in self.steps
-        ]
-        mismatches = [_json_list([str(d), str(i)], 2) for d, i in self.reference_mismatches]
-        return (
-            f'{{\n  "all_passed": {_BOOL[self.all_passed]},\n  "n": {self.n},\n  "p": {self.p},'
-            f'\n  "reference_mismatches": {_json_list(mismatches, 1)},'
-            f'\n  "steps": {_json_list(steps, 1)}\n}}'
+        lists = _Fragments(lambda items: _json_list([quoted[a] for a in items], depth + 3))
+        mismatches = [_json_list([str(d), str(i)], depth + 2) for d, i in self.reference_mismatches]
+        yield (
+            f'{{{pad}  "all_passed": {_BOOL[self.all_passed]},{pad}  "n": {self.n},{pad}  "p": {self.p},'
+            f'{pad}  "reference_mismatches": {_json_list(mismatches, depth + 1)},{pad}  "steps": '
         )
+        if not self.steps:
+            yield f"[]{pad}}}"
+            return
+        sep = f"[{pad}    "
+        for s in self.steps:
+            yield (
+                f"{sep}{{"
+                f'{key}"chi_orthogonal": {_BOOL[s.chi_orthogonal]},'
+                f'{key}"closed_form_in_lmin": {_BOOL[s.closed_form_in_lmin]},'
+                f'{key}"closed_form_weight": {quoted[s.closed_form_weight]},'
+                f'{key}"computed_eset": {lists[s.computed_eset]},'
+                f'{key}"d": {s.d},'
+                f'{key}"extra_vs_reference": {lists[s.extra_vs_reference]},'
+                f'{key}"first_term_relation": {quoted[s.first_term_relation]},'
+                f'{key}"i": {s.i},'
+                f'{key}"matches_reference": {_BOOL[s.matches_reference]},'
+                f'{key}"matches_verified": {_BOOL[s.matches_verified]},'
+                f'{key}"oracle_agrees": {_BOOL[s.oracle_agrees]},'
+                f'{key}"passed": {_BOOL[s.passed]},'
+                f'{key}"pipeline_in_lmin": {_BOOL[s.pipeline_in_lmin]},'
+                f'{key}"pipeline_weight": {quoted[s.pipeline_weight]},'
+                f'{key}"reference_eset": {lists[s.reference_eset]},'
+                f'{key}"second_term_agrees": {_BOOL[s.second_term_agrees]},'
+                f'{key}"separating": {_BOOL[s.separating]},'
+                f'{key}"verified_eset": {lists[s.verified_eset]},'
+                f'{key}"window": {quoted[s.window]}'
+                f"{pad}    }}"
+            )
+            sep = f",{pad}    "
+        yield f"{pad}  ]{pad}}}"
 
 
 _BOOL = {True: "true", False: "false"}
@@ -478,16 +496,19 @@ def check_path_steps(n: int, p: int, steps) -> PathReport:
     The neighbor sets are compared as root bitmasks, and E_w is rendered
     once per step; a closed form equal to it reuses that text."""
     table = root_table(n)
+    edges = _coroot_edges(n)
     names = _root_names(n)
 
     def strs(mask: int) -> tuple[str, ...]:
         return tuple([names[k] for k in mask_bits(mask)])
 
     reports = []
+    oracle = None
     for step in steps:
         neighbors = lower_neighbors(step.w)
         computed = neighbors.mask
-        oracle = lower_neighbors_oracle(step.w).mask
+        # chained from the oracle's own answer for the step before
+        oracle = lower_neighbors_oracle(step.w, oracle)
         reference = _reference_mask(n, step.d, step.i)
         verified = reference | _restored_long_mask(n, step.d, step.i)
         bits = mask_bits(computed)
@@ -495,11 +516,15 @@ def check_path_steps(n: int, p: int, steps) -> PathReport:
         # the bit the step root would have at rank n; the table check catches a
         # root from a certificate that does not fit the rank
         beta = root_index(n, *root_order(step.beta))
+        # on alpha's coroot edge (u, v, odd), <chi, alpha^vee> is a_u - a_v,
+        # a_u + a_v or a_u (a loop, u = v), so it is 0 exactly when a_u equals
+        # a_v on an even edge and -a_v on an odd one
+        a = step.chi.a
         orthogonal = (
             computed >> beta & 1 == 1
             and table[beta] == step.beta
             and pairing(step.chi, step.beta) == 1
-            and all(pairing(step.chi, table[k]) == 0 for k in bits if k != beta)
+            and all(a[u] == (-a[v] if odd else a[v]) for u, v, odd in [edges[k] for k in bits if k != beta])
         )
         reports.append(
             StepReport(
@@ -512,7 +537,7 @@ def check_path_steps(n: int, p: int, steps) -> PathReport:
                 matches_reference=computed == reference,
                 matches_verified=computed == verified,
                 extra_vs_reference=strs(computed & ~reference),
-                oracle_agrees=computed == oracle,
+                oracle_agrees=computed == oracle.mask,
                 separating=is_separating(neighbors),
                 chi_orthogonal=orthogonal,
                 pipeline_weight=str(step.ha),

@@ -11,8 +11,12 @@ reflection lowers the length by one: `length_drops` tests all n^2 of them
 in O(n^2) per mirror window from one pass of prefix value masks,
 evaluating one swap per root, while `length_change` counts one change in
 O(n) and serves single steps and as the reference for the batch kernel.
-`admissible_mask` gives the same set the other way, by the classed
-admissible pairs of the first half of the window.
+Along a walk whose steps swap two adjacent values and their mirrors,
+`length_drops_after` updates the previous window's mask instead: it
+re-tests, by the same test, only the O(n) roots whose first swap touches
+a moved position, and proves in its docstring that every other root keeps
+its bit.  `admissible_mask` gives the same set the other way, by the
+classed admissible pairs of the first half of the window.
 """
 
 from __future__ import annotations
@@ -173,6 +177,80 @@ def length_drops(w):
         if x > n and not (half ^ prefix[a + 1]) & ((1 << x) - (2 << (top - x))):
             mask |= 1 << k
         k += 1
+    return mask
+
+
+def length_drops_after(w, prev, prev_mask):
+    """`length_drops(w)`, given prev_mask = `length_drops(prev)` for another
+    mirror window prev.  Let M be the positions where w and prev differ.
+    If the ranks differ, M has more than 4 positions or a value there moves
+    by more than 1, this is a full `length_drops(w)`.  Otherwise it starts
+    from prev_mask and re-tests, by the prefix-mask test of `length_drops`,
+    only the roots whose first swap (a, b) has a or b in M: for each
+    first-half position c in M, the e_i - e_j row and column of c, the
+    e_i + e_j row of c, 2e_c, and the e_i + e_j column of c, whose first
+    swaps end at the second-half position N - c.  A row is a run of
+    consecutive bits and is written into the mask at once; the column and
+    2e_c are written bit by bit, each compared with the mask as it stands,
+    so a root in the row of one moved position and the column of the other
+    is written twice with one value.  O(n) tests per step of a walk by
+    reflections that swap two adjacent values, against n^2 for
+    `length_drops`.
+
+    Lemma: every other root keeps its bit.  Its drop is read off x = w(a),
+    y = w(b), the values at the positions strictly between a and b, and
+    for a sum or long root N - x.  M is mirror-closed, since both windows
+    are mirror windows, and a, b are not in M, so x, y and N - x sit at
+    the positions a, b and N - a of both windows and are unchanged.  A
+    changed position moves from u to u +- 1, and neither value equals
+    x, y or N - x: each of those is held by an unchanged position in both
+    windows.  So u lies strictly between y and x exactly when u +- 1 does,
+    and the count of values between them cannot change.
+    """
+    n = len(w) // 2
+    if len(prev) != len(w):
+        return length_drops(w)
+    moved = [a for a in range(n) if w[a] != prev[a]]  # M's first half
+    if len(moved) > 2 or any(abs(w[a] - prev[a]) > 1 for a in moved):
+        return length_drops(w)
+    top = 2 * n + 1
+    sums = n * (n - 1) // 2  # the index of e_1 + e_2
+    prefix = [0]
+    seen = 0
+    for v in w:
+        seen |= 1 << v
+        prefix.append(seen)
+    mask = prev_mask
+    for c in moved:  # 0-based
+        x = w[c]
+        below = 1 << x
+        left = prefix[c + 1]
+        mirrored = left | 1 << (top - x)  # N - x joins the counted values
+        # c's rows, one bit per j > c from j = c + 1 up: e_c - e_j swaps
+        # (c, j) first, e_c + e_j swaps (c, N - j)
+        diffs = pluses = 0
+        for b in range(n - 1, c, -1):
+            y = w[b]
+            diffs = diffs << 1 | (y < x and not (prefix[b + 1] ^ left) & (below - (2 << y)))
+            y = w[top - b - 2]
+            pluses = pluses << 1 | (y < x and not (prefix[top - b - 1] ^ mirrored) & (below - (2 << y)))
+        start = c * (top - c - 2) // 2  # the index of e_c - e_{c+1}
+        span = (1 << (n - c - 1)) - 1
+        mask = mask & ~(span << start | span << (sums + start)) | diffs << start | pluses << (sums + start)
+        # 2e_c swaps (c, N - c); c's columns e_i - e_c and e_i + e_c swap
+        # (i, c) and (i, N - c) first, where the values are x and N - x
+        far = prefix[top - c - 1]
+        bits = [(2 * sums + c, x > n and not (far ^ mirrored) & (below - (2 << (top - x))))]
+        for i in range(c):
+            v = w[i]
+            k = i * (top - i - 2) // 2 + c - i - 1
+            counted = prefix[i + 1]
+            above = 1 << v
+            bits.append((k, x < v and not (left ^ counted) & (above - (2 << x))))
+            bits.append((sums + k, top - x < v and not (far ^ counted | 1 << (top - v)) & (above - (2 << (top - x)))))
+        for k, bit in bits:
+            if bit != mask >> k & 1:
+                mask ^= 1 << k
     return mask
 
 

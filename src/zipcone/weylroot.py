@@ -80,6 +80,15 @@ class Character(Record):
             raise TypeError("Character entries must be integers")
         object.__setattr__(self, "a", tuple(self.a))
 
+    @classmethod
+    def _trusted(cls, a: tuple[int, ...], b: int) -> "Character":
+        """Wrap a tuple of ints and an int without validating them, as
+        `WeylElem._trusted` wraps a window.  Internal: never pass user input
+        here."""
+        x = object.__new__(cls)
+        vars(x).update(a=a, b=b)
+        return x
+
     @property
     def n(self) -> int:
         return len(self.a)
@@ -567,11 +576,12 @@ def reflection_swaps(n: int) -> Mapping[Root, tuple[tuple[int, int], ...]]:
     (a, b), a < b, that its reflection swaps on a window, in the order of
     `positive_roots`: e_i - e_j swaps (i, j) and (2n+1-j, 2n+1-i), e_i + e_j
     swaps (i, 2n+1-j) and (j, 2n+1-i), 2e_i swaps (i, 2n+1-i).  Right
-    multiplication by the reflection applies these swaps in turn.  Built
-    once per rank, on first use; read-only, since every caller shares it."""
+    multiplication by the reflection applies these swaps in turn.  Keyed
+    by the shared roots of `root_table(n)`, so it builds none.  Built once
+    per rank, on first use; read-only, since every caller shares it."""
     m = 2 * n
     table = {}
-    for alpha in positive_roots(n):
+    for alpha in root_table(n):
         i, j = alpha.i, alpha.j
         if alpha.kind is RootKind.DIFF:
             table[alpha] = ((i, j), (m + 1 - j, m + 1 - i))

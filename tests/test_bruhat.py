@@ -21,6 +21,7 @@ from zipcone.bruhat import (
     rank_matrix,
     stratum_dim,
 )
+from zipcone.hasse import descent_path
 from zipcone.weylroot import (
     Root,
     WeylElem,
@@ -211,22 +212,62 @@ def test_oracle_calls_no_admissible_pair_code(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
 
-    # build the rank-6 row table first, so that building it calls
-    # _pair_roots outside the count whatever ran before this test
-    bruhat._pair_rows(6)
+    # _pair_rows reads the root_index formula and builds no _pair_roots, so
+    # each wrapper counts only the calls made to it
     for module, name in counted:
         count_calls(module, name)
     rng = random.Random(6)
     elems = [canonical_elements(6).w0, canonical_elements(6).wmax]
     elems += [random_element(6, rng) for _ in range(20)]
     oracle = [lower_neighbors_oracle(w) for w in elems]
+    # a chained walk: each step starts from the oracle's answer for the step before
+    walk = [step.w for step in descent_path(6, 5)]
+    chained = [lower_neighbors_oracle(walk[0])]
+    for w in walk[1:]:
+        chained.append(lower_neighbors_oracle(w, chained[-1]))
     assert calls == dict.fromkeys(calls, 0)
+    assert [s.mask for s in chained] == [kernels.length_drops(w.window) for w in walk]
     # positive control: the wrappers do see both admissible-pair routes, the
     # fused row scan of E_w and the classed pairs
     assert [lower_neighbors(w) for w in elems] == oracle
+    assert [lower_neighbors(w) for w in walk] == chained
     for w in elems:
         admissible_pairs(w)
-    assert calls == dict.fromkeys(calls, len(elems))
+    assert calls == {
+        "admissible_pairs": len(elems),
+        "admissible_mask": len(elems) + len(walk),
+        "_pair_roots": len(elems),
+        "_pair_rows": len(elems) + len(walk),
+    }
+
+
+def pair_rows_from_pair_roots(n):
+    """The admissible-mask row table derived from the classes, bounds and
+    root indices of `_pair_roots`."""
+    m = 2 * n
+    rows = [([-1] * m, [-1] * m) for _ in range(n)]
+    for (i, j), (_, _, bound, index) in bruhat._pair_roots(n).items():
+        low, high = rows[i - 1]
+        low[j - 1] = index
+        if bound == m:
+            high[j - 1] = index
+    return tuple((tuple(low), tuple(high)) for low, high in rows)
+
+
+def coroot_edges_from_coroots(n):
+    """The signed-graph edges of `_coroot_edges`, read off `Root.coroot`."""
+    edges = []
+    for alpha in positive_roots(n):
+        (u, _), *rest = alpha.coroot
+        v, c = rest[0] if rest else (u, 1)
+        edges.append((u, v, int(c == 1)))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_arithmetic_tables_match_the_root_objects(n):
+    assert bruhat._pair_rows(n) == pair_rows_from_pair_roots(n)
+    assert bruhat._coroot_edges(n) == coroot_edges_from_coroots(n)
 
 
 @pytest.mark.parametrize("n", [2, 3])

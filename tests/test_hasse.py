@@ -335,3 +335,17 @@ def test_path_report_to_json_matches_the_payload_dump_on_a_hand_built_report():
     for report in (PathReport(3, 5, (failed,) + real.steps), PathReport(3, 5, (failed,))):
         assert not report.all_passed and report.reference_mismatches
         assert report.to_json() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_path_report_streams_one_block_per_step(n):
+    """The head, one block per step and the close; at depth 1 the text is
+    the depth-0 text with every line after the first indented once more,
+    as an enclosing object's value."""
+    report = verify_path_lemmas(n, 3)
+    blocks = list(report.iter_json())
+    assert len(blocks) == len(report.steps) + 2
+    assert "".join(blocks) == report.to_json()
+    for step, block in zip(report.steps, blocks[1:]):
+        assert f'"window": "{step.window}"' in block
+    assert "".join(report.iter_json(1)) == report.to_json().replace("\n", "\n  ")

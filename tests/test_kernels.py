@@ -83,6 +83,69 @@ def test_length_drops_match_length_change_on_random_windows(n):
         assert_length_drops_match(random_element(n, rng).window, n)
 
 
+@pytest.mark.parametrize("n", range(1, 25))
+def test_chained_length_drops_match_full_along_the_descent_path(n):
+    windows = [step.w.window for step in descent_path(n, 5)] + [canonical_elements(n).wmax.window]
+    mask = kernels.length_drops(windows[0])
+    for prev, win in zip(windows, windows[1:]):
+        mask = kernels.length_drops_after(win, prev, mask)
+        assert mask == kernels.length_drops(win), win
+
+
+def swap_values(win, pairs):
+    """The window with each pair of values (u, v) exchanged."""
+    where = {v: k for k, v in enumerate(win)}
+    out = list(win)
+    for u, v in pairs:
+        out[where[u]], out[where[v]] = v, u
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 17, 40, 64])
+def test_length_drops_after_an_adjacent_value_swap(n):
+    """Seeded pairs that differ by exchanging the values u and u + 1, and
+    their mirrors N - u - 1 and N - u; for u = n the two pairs are one."""
+    rng = random.Random(n)
+    top = 2 * n + 1
+    for _ in range(40):
+        prev = random_element(n, rng).window
+        u = rng.randrange(1, 2 * n)
+        win = swap_values(prev, {(u, u + 1), (top - u - 1, top - u)})
+        assert kernels.length_drops_after(win, prev, kernels.length_drops(prev)) == kernels.length_drops(win)
+
+
+def test_length_drops_after_falls_back_to_a_full_scan(monkeypatch):
+    """Each fallback tests every root: it reads no bit of the previous mask,
+    so even a wrong one gives the right answer, and calls `length_drops`
+    once.  A step the lemma covers does read the previous mask."""
+    full = kernels.length_drops
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return full(w)
+
+    monkeypatch.setattr(kernels, "length_drops", counting)
+    n = 6
+    top = 2 * n + 1
+    prev = random_element(n, random.Random(6)).window
+    cases = {
+        "non-adjacent values": swap_values(prev, {(2, 4), (top - 4, top - 2)}),
+        "more than four moved positions": swap_values(prev, {(1, 2), (top - 2, top - 1), (3, 4), (top - 4, top - 3)}),
+        "rank mismatch": random_element(n - 1, random.Random(5)).window,
+    }
+    for reason, win in cases.items():
+        calls.clear()
+        for wrong in (0, -1):
+            assert kernels.length_drops_after(win, prev, wrong) == full(win), reason
+        assert calls == [win, win], reason
+    calls.clear()
+    win = swap_values(prev, {(2, 3), (top - 3, top - 2)})
+    assert kernels.length_drops_after(win, prev, full(prev)) == full(win)
+    assert kernels.length_drops_after(win, prev, 0) != full(win)
+    assert calls == []
+
+
 def test_length_change_sum_root_regressions():
     # e1+e2 at n = 2: doubling the first swap's change (1 + 2c) + h gives 4
     # on the identity, and (1 + 2c) alone gives 1 on (2, 1, 4, 3)

@@ -87,3 +87,14 @@ def test_shuffled_roots_sort_back_into_root_order(n):
     random.Random(n).shuffle(shuffled)
     assert sorted(shuffled) == roots
     assert max(shuffled) == roots[-1] and min(shuffled) == roots[0]
+
+
+def test_trusted_character_equals_the_validated_one():
+    for a, b in (((1, -2, 0), 3), ((0,), 0), ((-5, 5), -1)):
+        trusted, checked = Character._trusted(a, b), Character(a, b)
+        assert type(trusted) is Character
+        assert trusted == checked and checked == trusted
+        assert hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked) and str(trusted) == str(checked)
+        with pytest.raises(AttributeError):
+            trusted.a = (0,) * len(a)

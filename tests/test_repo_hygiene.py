@@ -100,10 +100,12 @@ def _dead_definitions(package):
 TEST_ONLY = {
     "bruhat.rank_matrix": "the rank-matrix definition of Bruhat order that the kernel's sorted-prefix bruhat_leq is checked against",
     "bruhat.gamma": "the classed-pair-to-root map that lower_neighbors' root bitmasks are checked against",
+    "certify.Certificate.to_json": "the streamed certificate text joined into one string, for library callers and the byte-for-byte tests",
     "certify.Certificate.from_json_dict": "the certificate loader of the round-trip tests, until `check-cert` (ROADMAP item 1) replaces it",
     "cones.worst_subset": "the root-level worst subset that orbit_worst_rows' closed-form rows are checked against",
     "hasse.eset_reference": "the uncorrected closed form of E_w as a root set, an example reference for the path report's masks",
     "hasse.eset_verified": "the corrected closed form of E_w as a root set, an example reference for the path report's masks",
+    "hasse.PathReport.to_json": "the streamed path report joined into one string, for library callers and the byte-for-byte tests",
     "linalg.rank": "a span of perfbench/tracing.SPANS; its tests pin the Bareiss elimination that solve_square shares",
     "weylroot.simple_roots": "the simple reflections that generate the group in the generation test",
     "weylroot.is_I_dominant": "Levi dominance, the reference for cone_GS's Levi rows",

@@ -24,7 +24,7 @@ from zipcone.bruhat import (
     lower_neighbors_oracle,
 )
 from zipcone.certify import Certificate, envelope_certificate
-from zipcone.hasse import anchor_element
+from zipcone.hasse import anchor_element, descent_path
 from zipcone.sweeps import bruhat_suite, gamma_suite
 from zipcone.weylroot import (
     WeylElem,
@@ -194,3 +194,24 @@ def test_window_oracle_matches_object_reference_sampled():
         w = random_element(6, rng)
         assert lower_neighbors_oracle(w).roots == reference_oracle(w)
 
+
+
+def test_descent_path_validates_no_character_and_builds_no_root(monkeypatch):
+    """The walk takes its roots from the shared table and builds its
+    characters from ints with `Character._trusted`."""
+    n = 7
+    weylroot.root_table(n)
+    built = []
+    for cls in (weylroot.Character, weylroot.Root):
+        original = cls.__post_init__
+
+        def counting(self, original=original):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    weylroot.Character((1, 0), 0)
+    assert len(built) == 1  # the counter sees a validated character
+    built.clear()
+    steps = descent_path(n, 5)
+    assert len(steps) == n * (n - 1) // 2 and built == []
