@@ -5,15 +5,15 @@ pairs of the first half of the window, through a per-rank table from
 position pairs to root indices, and by the brute-force definition (a
 length drop of one under a positive reflection).  The two must agree; the
 sweeps and the acceptance suite check this exhaustively.  Both give E_w as
-a root bitmask: bit k stands for `positive_roots(n)[k]`.
+a root bitmask: bit k stands for `positive_roots(n)[k]`.  A query about
+one element reads E_w off its own classed pairs instead (`classed_pairs`,
+`neighbor_roots`), by the same class rule and with no per-rank table.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
 from enum import Enum
-from types import MappingProxyType
 
 from . import kernels
 from .weylroot import (
@@ -27,7 +27,6 @@ from .weylroot import (
     non_levi_positive_roots,
     reflection,
     root_index,
-    root_order,
     root_table,
 )
 
@@ -71,41 +70,47 @@ def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
     return kernels.bruhat_leq(w1.window, w2.window)
 
 
-@functools.lru_cache(maxsize=32)
-def _pair_roots(n: int) -> Mapping[tuple[int, int], tuple[PairClass, Root, int, int]]:
-    """Every 1-based position pair (i, j), i < j, i <= n, mapped to its
-    class, its root, the largest w(i) the class allows and the root's index
-    in `positive_roots(n)`: E1 (j <= n) to e_i - e_j, E3 (j = 2n+1-i) to
-    2e_i, and every other pair to e_i + e_k, k = 2n+1-j, under E2.  E2 needs
-    w(i) <= n and w(j) <= n; on an admissible pair w(j) < w(i), so the bound
-    n on w(i) is the whole test, and E1 and E3 carry the bound 2n that every
-    value meets.  Pairs with i > n are in no class and absent.  Built once
-    per rank, on first use; read-only, since every caller shares it."""
-    m = 2 * n
-    table = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, m + 1):
-            if j <= n:
-                cls, root, bound = PairClass.E1, Root.diff(i, j), m
-            elif j == m + 1 - i:
-                cls, root, bound = PairClass.E3, Root.long(i), m
-            else:
-                k = m + 1 - j
-                cls, root, bound = PairClass.E2, Root.sum(min(i, k), max(i, k)), n
-            table[i, j] = (cls, root, bound, root_index(n, *root_order(root)))
-    return MappingProxyType(table)
+def pair_root(n: int, i: int, j: int, low: bool) -> tuple[RootKind, int, int] | None:
+    """The class rule: the root of the position pair (i, j), i < j, of an
+    admissible pair, as the fields (kind, i, j) of a `Root`, or None where
+    the pair is in no class; `low` says whether w(i) <= n.  E1 (j <= n)
+    gives e_i - e_j, E3 (j = 2n+1-i) gives 2e_i, and every other pair with
+    i <= n gives e_i + e_k, k = 2n+1-j, under E2.  E2 needs w(i) <= n and
+    w(j) <= n; on an admissible pair w(j) < w(i), so w(i) <= n is the
+    whole test.  Pairs with i > n are in no class.  The kind names the
+    class, as `_PAIR_CLASS` lists them; `root_index` turns the triple into
+    the root's bit with no table."""
+    if i > n:
+        return None
+    if j <= n:
+        return RootKind.DIFF, i, j
+    k = 2 * n + 1 - j
+    if k == i:
+        return RootKind.LONG, i, 0
+    if not low:
+        return None
+    return (RootKind.SUM, i, k) if i < k else (RootKind.SUM, k, i)
+
+
+_PAIR_CLASS = (PairClass.E1, PairClass.E2, PairClass.E3)  # indexed by RootKind
+
+
+def pair_class(root: tuple[RootKind, int, int] | None) -> PairClass:
+    """The class of a pair whose root `pair_root` gives."""
+    return PairClass.OTHER if root is None else _PAIR_CLASS[root[0]]
 
 
 @functools.lru_cache(maxsize=32)
 def _pair_rows(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The classes of `_pair_roots(n)` as the row table of
+    """The class rule of `pair_root` as the row table of
     `kernels.admissible_mask`: row i-1 holds two tuples indexed by j-1, the
     root index of the pair (i, j) when w(i) <= n and when w(i) > n, or -1
-    where the pair has no class.  Read off the `root_index` formula, with no
-    `Root` built: the E1 pairs (i, j <= n) are the consecutive indices of
-    e_i - e_j, the E2 pair (i, 2n+1-k) is e_i + e_k or e_k + e_i, present
-    only when w(i) <= n, and the E3 pair (i, 2n+1-i) is 2e_i.  Built once
-    per rank, on first use."""
+    where the pair has no class or j <= i.  Read off the `root_index`
+    formula row by row, which builds it in half the time of a `pair_root`
+    call per entry: the E1 pairs (i, j <= n) are the consecutive indices
+    of e_i - e_j, the E2 pair (i, 2n+1-k) is e_i + e_k or e_k + e_i,
+    present only when w(i) <= n, and the E3 pair (i, 2n+1-i) is 2e_i.
+    Built once per rank, on first use."""
     sums = n * (n - 1) // 2
     rows = []
     for i in range(1, n + 1):
@@ -119,24 +124,32 @@ def _pair_rows(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(rows)
 
 
+def classed_pairs(w: WeylElem) -> list[tuple[int, int, tuple[RootKind, int, int] | None]]:
+    """Every admissible pair (i, j) of the window with its root as
+    `pair_root` gives it, from one scan and no per-rank table."""
+    win = w.window
+    n = w.n
+    return [(i, j, pair_root(n, i, j, win[i - 1] <= n)) for i, j in kernels.admissible_pairs(win)]
+
+
 def admissible_pairs(w: WeylElem) -> list[AdmissiblePair]:
     """All admissible pairs of the window with their class labels."""
-    win = w.window
-    table = _pair_roots(w.n)
-    out = []
-    for i, j in kernels.admissible_pairs(win):
-        entry = table.get((i, j))
-        cls = entry[0] if entry is not None and win[i - 1] <= entry[2] else PairClass.OTHER
-        out.append(AdmissiblePair(i, j, cls))
-    return out
+    return [AdmissiblePair(i, j, pair_class(root)) for i, j, root in classed_pairs(w)]
+
+
+def neighbor_roots(pairs) -> list[Root]:
+    """E_w in root order, read off the `classed_pairs` of w: the roots of
+    its classed admissible pairs, the set `lower_neighbors` reads off the
+    row table.  A `Root` is built only for each member."""
+    return [Root(*root) for root in sorted({root for _, _, root in pairs if root is not None})]
 
 
 def gamma(pair: AdmissiblePair, w: WeylElem) -> Root:
     """The positive root attached to a classed admissible pair."""
-    entry = _pair_roots(w.n).get((pair.i, pair.j))
-    if pair.cls is PairClass.OTHER or entry is None:
+    root = None if pair.cls is PairClass.OTHER else pair_root(w.n, pair.i, pair.j, w(pair.i) <= w.n)
+    if root is None:
         raise ValueError(f"pair ({pair.i}, {pair.j}) is in no E-class")
-    return entry[1]
+    return Root(*root)
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -237,27 +250,40 @@ def _find(parent: list[int], parity: list[int], v: int) -> tuple[int, int]:
 def is_separating(neighbors: NeighborSet) -> bool:
     """Whether the coroot functionals of E_w are linearly independent over
     Q; takes the `NeighborSet` the caller already holds, so E_w is not
-    computed twice.
-
-    The coroots e_u - e_v, e_u + e_v and e_u are the edge vectors of a
-    signed graph (see `_coroot_edges`), and a set of them is independent
-    exactly when it is independent in the graph's frame matroid (Zaslavsky,
-    Signed graphs, Discrete Appl. Math. 4, 1982): no connected component
-    holds a balanced cycle (an even number of odd edges), and none holds more
-    than one unbalanced cycle, each loop counting as one.  A union-find over
-    the n indices that keeps every vertex's parity to its root adds the
-    edges one by one and stops at the first that breaks this: in
-    O(n alpha(n)), since a set of more than n edges is dependent, so at most
-    n + 1 edges are read.
-    """
+    computed twice.  Its edges come from the per-rank table, which the
+    path reuses along its walk; `roots_separating` gives the same verdict
+    for E_w given as its roots, with no table."""
     n = neighbors.owner.n
     edges = _coroot_edges(n)
+    return _independent(n, [edges[k] for k in mask_bits(neighbors.mask)])
+
+
+def roots_separating(n: int, roots) -> bool:
+    """`is_separating` for rank-n roots, as `neighbor_roots` gives E_w: each
+    root's edge is read off its fields, as `_coroot_edges` lists them."""
+    return _independent(n, [(a.i - 1, (a.j or a.i) - 1, int(a.kind is not RootKind.DIFF)) for a in roots])
+
+
+def _independent(n: int, edges) -> bool:
+    """Whether signed-graph edges (u, v, odd) on the vertices 0..n-1, as
+    `_coroot_edges` encodes coroots, are independent.
+
+    The coroots e_u - e_v, e_u + e_v and e_u are the edge vectors of a
+    signed graph, and a set of them is independent exactly when it is
+    independent in the graph's frame matroid (Zaslavsky, Signed graphs,
+    Discrete Appl. Math. 4, 1982): no connected component holds a balanced
+    cycle (an even number of odd edges), and none holds more than one
+    unbalanced cycle, each loop counting as one.  A union-find over the n
+    indices that keeps every vertex's parity to its root adds the edges
+    one by one and stops at the first that breaks this: in O(n alpha(n)),
+    since a set of more than n edges is dependent, so at most n + 1 edges
+    are read.
+    """
     parent = list(range(n))
     parity = [0] * n  # parity of the path from a vertex to its parent
     size = [1] * n
     unbalanced = [False] * n  # at a root: its component holds an unbalanced cycle
-    for k in mask_bits(neighbors.mask):
-        u, v, odd = edges[k]
+    for u, v, odd in edges:
         ru, pu = _find(parent, parity, u)
         rv, pv = _find(parent, parity, v)
         cycle = pu ^ pv ^ odd

@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
 from . import kernels
 from .linalg import FourierMotzkinBlowup
 from .bruhat import (
-    admissible_pairs,
     bruhat_leq,
+    classed_pairs,
     enum_IW,
     is_min_rep,
-    is_separating,
-    lower_neighbors,
+    neighbor_roots,
+    pair_class,
     preceq,
+    roots_separating,
     stratum_dim,
 )
 from .certify import envelope_certificate
@@ -36,13 +36,16 @@ from .cones import (
     cone_GS,
     farkas_implies,
     frac_str,
+    gs_member,
     lmin_member,
     lmin_prefix_cone,
+    lmin_prefix_member,
     n3_exact_cone,
     pha_w_member,
     pha_wmax_cone,
+    pha_wmax_member,
 )
-from .hasse import check_path_steps, verify_path_lemmas
+from .hasse import check_path_steps, json_text, verify_path_lemmas
 from .sweeps import bruhat_suite, gamma_suite, lmin_oracle_suite, redundancy_suite
 from .weylroot import (
     Character,
@@ -51,28 +54,32 @@ from .weylroot import (
     _parse_char_text,
     act,
     canonical_elements,
-    root_order,
 )
 
 
 # Largest inputs the CLI accepts, so that every accepted input finishes;
 # beyond each rank limit the work at least doubles with every rank.
-MAX_GAMMA_RANK = 6  # gamma visits all 2^n n! elements
+MAX_GAMMA_RANK = 7  # gamma visits all 2^n n! elements
 MAX_BRUHAT_RANK = 5  # bruhat builds the cover closure of all elements
 MAX_BRUHAT_EXHAUSTIVE_RANK = 4  # without --samples it checks all pairs
 MAX_ENUM_IW_RANK = 16  # enum-iw lists 2^n representatives
 MAX_SAMPLES = 100_000
 MAX_JOBS = 32  # sweep --jobs is the worker-process count of one Pool
 MAX_PRECEQ_RANK = 9  # bruhat --preceq visits all n! Levi elements
-# path, verify-theorem and cone-check grow polynomially, not exponentially:
-# each limit is the largest rank whose time is measured (README limits
-# table); cone-check's limits are the largest measured under about 5 s
+# path, verify-theorem, neighbors, cone-check and farkas grow polynomially,
+# not exponentially: each limit is the largest rank whose time is measured
+# (README limits table).  cone-check answers from the element and the
+# cone's inequality form, and its limits and the neighbors limit are the
+# largest measured under the targets of that table; farkas builds its cone
+# and searches, and its limits are the largest measured under about 5 s
 MAX_PATH_RANK = 128
 MAX_CERT_RANK = 64
-MAX_GS_RANK = 128
-MAX_PHA_WMAX_RANK = 224
-MAX_PHA_RANK = 300
-MAX_CANONICAL_RANK = 300  # weyl --canonical: no other verb takes a larger rank
+MAX_GS_RANK = 4096
+MAX_PHA_WMAX_RANK = 4096
+MAX_PHA_RANK = 1000
+MAX_NEIGHBORS_RANK = 1000
+MAX_FARKAS_RANK = {"gs": 10, "pha-wmax": 224, "lmin-i": 16}
+MAX_CANONICAL_RANK = 300  # weyl --canonical prints four windows of length 2n
 
 
 class UsageError(Exception):
@@ -190,13 +197,6 @@ def _require_p(args) -> int:
     return args.p
 
 
-def _named_cone(args, n: int):
-    """The rank-n cone that `--cone` names, for the names that cone-check and
-    farkas share: gs, lmin-i and pha-wmax."""
-    p = _require_p(args) if args.cone == "lmin-i" else None
-    return _cone(args.cone, n, p)
-
-
 @functools.lru_cache(maxsize=32)
 def _cone(name: str, n: int, p: int | None):
     """Each named cone once per key and process: a Cone is immutable.  The
@@ -211,7 +211,7 @@ def _cone(name: str, n: int, p: int | None):
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text(payload))
     else:
         for line in lines:
             print(line)
@@ -258,24 +258,32 @@ def _cmd_weyl(args) -> int:
 
 def _cmd_neighbors(args) -> int:
     w = WeylElem.parse(args.elem, args.n)
-    pairs = admissible_pairs(w)
-    neighbors = lower_neighbors(w)
-    roots = sorted(neighbors.roots, key=root_order)
-    sep = is_separating(neighbors)
-    payload = {
-        "elem": str(w),
-        "length": w.length(),
-        "admissible_pairs": [
-            {"i": p.i, "j": p.j, "class": p.cls.value} for p in pairs
-        ],
-        "lower_neighbors": [str(a) for a in roots],
-        "separating": sep,
-    }
-    lines = [f"window: {w} (length {w.length()})"]
-    lines += [f"pair ({p.i},{p.j}): {p.cls.value}" for p in pairs]
-    lines.append("E_w: " + (", ".join(str(a) for a in roots) if roots else "(empty)"))
+    if w.n > MAX_NEIGHBORS_RANK:
+        raise UsageError(f"neighbors needs rank at most {MAX_NEIGHBORS_RANK}, got {w.n}")
+    # one scan of the window: E_w and its separating verdict come from the
+    # classed pairs it prints, with no per-rank table
+    pairs = classed_pairs(w)
+    roots = neighbor_roots(pairs)
+    names = [str(a) for a in roots]
+    sep = roots_separating(w.n, roots)
+    length = w.length()
+    # a window has up to n^2 admissible pairs: only the form asked for is built
+    if args.json:
+        pair_dicts = [{"i": i, "j": j, "class": pair_class(root).value} for i, j, root in pairs]
+        payload = {
+            "elem": str(w),
+            "length": length,
+            "admissible_pairs": pair_dicts,
+            "lower_neighbors": names,
+            "separating": sep,
+        }
+        print(json_text(payload))
+        return 0
+    lines = [f"window: {w} (length {length})"]
+    lines += [f"pair ({i},{j}): {pair_class(root).value}" for i, j, root in pairs]
+    lines.append("E_w: " + (", ".join(names) if names else "(empty)"))
     lines.append(f"separating: {str(sep).lower()}")
-    _emit(payload, args.json, lines)
+    print("\n".join(lines))
     return 0
 
 
@@ -326,8 +334,12 @@ def _cmd_cone_check(args) -> int:
             "chi_integral": res.chi_integral,
             "chi_parity_ok": res.chi_parity_ok,
         }
+    elif args.cone == "gs":
+        member = gs_member(lam)
+    elif args.cone == "pha-wmax":
+        member = pha_wmax_member(lam)
     else:
-        member = _named_cone(args, n).member(lam)
+        member = lmin_prefix_member(lam, _require_p(args))
     payload = {"cone": args.cone, "lambda": str(lam), "member": member, **extra}
     lines = [f"member: {str(member).lower()}"]
     for key, val in extra.items():
@@ -348,7 +360,10 @@ def _cmd_farkas(args) -> int:
             raise UsageError("--cone n3 needs a rank-3 functional")
         cone = n3_exact_cone(p)
     else:
-        cone = _named_cone(args, n)
+        limit = MAX_FARKAS_RANK[args.cone]
+        if n > limit:
+            raise UsageError(f"farkas --cone {args.cone} needs rank at most {limit}, got {n}")
+        cone = _cone(args.cone, n, _require_p(args) if args.cone == "lmin-i" else None)
     cert = farkas_implies(target.vector(), cone)
     payload = {"cone": args.cone, **cert.to_json_dict()}
     if cert.implied:

@@ -12,8 +12,10 @@ from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
+from operator import ge
 
 from . import linalg
+from .bruhat import classed_pairs, neighbor_roots
 from .weylroot import (
     AnyCharacter,
     Character,
@@ -117,6 +119,18 @@ def cone_GS(n: int) -> Cone:
     return Cone(n + 1, tuple(rows), tuple(gens), label="gs")
 
 
+def gs_member(lam: AnyCharacter) -> bool:
+    """Membership in cone_GS(n), in O(n): a_1 >= ... >= a_n and a_1 <= 0.
+
+    Lemma: the rows of cone_GS are the Levi rows a_i >= a_{i+1} and the
+    coroot rows of the roots outside the Levi, a_i + a_j <= 0 (i < j) and
+    a_i <= 0.  Under the Levi rows a_1 is the largest entry, so a_1 <= 0
+    gives a_i <= 0 for every i, and then a_i + a_j <= 0; a_1 <= 0 itself is
+    the row of 2e_1.  b is free."""
+    a = lam.a
+    return a[0] <= 0 and all(map(ge, a, a[1:]))
+
+
 def prefix_functional(n: int, p: int, j: int) -> IntRow:
     """p * (a_1 + ... + a_j) + (a_{j+1} + ... + a_n) <= 0, cleared to integers."""
     return tuple(p if i <= j else 1 for i in range(1, n + 1)) + (0,)
@@ -140,6 +154,23 @@ def lmin_prefix_cone(n: int, p: int) -> Cone:
     rows = [prefix_functional(n, p, j) for j in range(1, n + 1)]
     rows += dominance_functionals(n)
     return Cone(n + 1, tuple(rows), label="lmin-i")
+
+
+def lmin_prefix_member(lam: AnyCharacter, p: int) -> bool:
+    """Membership in lmin_prefix_cone(n, p), in O(n): its rows read at lam.
+
+    Prefix row j reads p * S_j + (T - S_j), with S_j = a_1 + ... + a_j and
+    T = S_n, so one running sum gives all n of them; the other rows are
+    dominance, a_1 >= ... >= a_n."""
+    _check_p(p)
+    a = lam.a
+    total = sum(a)
+    partial = 0
+    for x in a:
+        partial += x
+        if p * partial + total - partial > 0:
+            return False
+    return all(map(ge, a, a[1:]))
 
 
 def orbit_subset_functional(orbit: Sequence[Root], subset: Iterable[Root], n: int, p: int) -> IntRow:
@@ -285,6 +316,11 @@ def pha_wmax_cone(n: int) -> Cone:
     return cone
 
 
+def pha_wmax_member(lam: AnyCharacter) -> bool:
+    """Membership in pha_wmax_cone(n), in O(n): its rows are a_i <= 0."""
+    return max(lam.a) <= 0
+
+
 def n3_exact_cone(p: int) -> Cone:
     """The known complete rank-3 cone: two p-weighted functionals inside the
     dominance region."""
@@ -422,20 +458,82 @@ class PhaMembership(Record):
         )
 
 
+def weight_preimage(lam: AnyCharacter, w: WeylElem, p: int) -> RatCharacter:
+    """The exact chi with -w(chi) + p*wmax(chi) = lam, solved along the
+    cycles of a signed permutation, with no matrix.
+
+    w sends e_i to eps_i e_{s(i)}: s(i) = w(i) and eps_i = 1 when
+    w(i) <= n, s(i) = 2n+1-w(i) and eps_i = -1 otherwise.  wmax sends e_k
+    to -e_{n+1-k}, since wmax(k) = n + k.  Entry n+1-k of the map's value
+    is then -p chi_k - eps_i chi_i, with i = sigma(k) the index that s
+    sends to n+1-k, so
+
+        chi_k = (c_k + t_k chi_{sigma(k)}) / p,   c_k = -lam_{n+1-k},
+                                                  t_k = -eps_{sigma(k)}.
+
+    sigma permutes 1..n.  On a cycle k_0 -> k_1 = sigma(k_0) -> ... ->
+    k_L = k_0, substituting the equation L times gives
+
+        (p^L - T) chi_{k_0} = sum_j (t_{k_0} ... t_{k_{j-1}}) c_{k_j} p^(L-1-j),
+
+    with T = t_{k_0} ... t_{k_{L-1}} = +-1.  Since p >= 2, p^L - T >=
+    2^L - 1 > 0: each cycle has exactly one solution, so the map is
+    invertible for every w and p.  The same sum, started at any k_j, shows
+    that N_j = q (p^L - T) chi_{k_j} is an integer, q being the lcm of
+    lam's denominators; so after N_0 the entries go round the cycle
+    backwards by N_j = (q c_{k_j} (p^L - T) + t_{k_j} N_{j+1}) / p, each an
+    exact division.  Both elements fix b, so (p - 1) chi_b = lam_b.
+    `hasse.hasse_map(w, p).inverse_apply(lam)` is the dense reference.
+    """
+    n = w.n
+    if lam.n != n:
+        raise ValueError(f"rank mismatch: {lam.n} vs {n}")
+    _check_p(p)
+    # 0-based: sigma[k] and t[k], with k the 0-based index of n+1-s(i)
+    sigma = [0] * n
+    t = [0] * n
+    for i, v in enumerate(w.window[:n]):
+        k, t_k = (n - v, -1) if v <= n else (v - n - 1, 1)
+        sigma[k] = i
+        t[k] = t_k
+    a = lam.a
+    q = lcm(*[x.denominator for x in a])
+    c = [-x.numerator * (q // x.denominator) for x in reversed(a)]  # q c_k
+    chi: list = [None] * n
+    for start in range(n):
+        if chi[start] is not None:
+            continue
+        cycle = [start]
+        k = sigma[start]
+        while k != start:
+            cycle.append(k)
+            k = sigma[k]
+        num = 0
+        sign = 1
+        for k in cycle:
+            num = num * p + sign * c[k]
+            sign *= t[k]
+        den = p ** len(cycle) - sign
+        scale = q * den
+        chi[start] = Fraction(num, scale)
+        for k in reversed(cycle[1:]):
+            num = (c[k] * den + t[k] * num) // p
+            chi[k] = Fraction(num, scale)
+    return RatCharacter(tuple(chi), Fraction(lam.b) / (p - 1))
+
+
 def pha_w_member(lam: AnyCharacter, w: WeylElem, p: int) -> PhaMembership:
     """Invert the weight map exactly and test dominance against E_w.
 
     The saturated cone is h_w(X^*_{+,w}); membership of lam amounts to the
     preimage chi = h_w^{-1}(lam) pairing nonnegatively with every root of
     E_w.  Lattice-exact membership additionally needs chi integral with the
-    parity constraint; both facts are reported, not conflated.
+    parity constraint; both facts are reported, not conflated.  The
+    preimage comes from `weight_preimage` and E_w from the element's own
+    classed pairs, so no per-rank table is built.
     """
-    from .bruhat import lower_neighbors
-    from .hasse import hasse_map
-
-    _check_p(p)
-    chi = hasse_map(w, p).inverse_apply(lam)
-    ok = all(pairing(chi, alpha) >= 0 for alpha in lower_neighbors(w).roots)
+    chi = weight_preimage(lam, w, p)
+    ok = all(pairing(chi, alpha) >= 0 for alpha in neighbor_roots(classed_pairs(w)))
     integral = chi.is_integral()
     parity = integral and chi.to_integral().satisfies_parity
     return PhaMembership(ok, chi, integral, parity)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 
 from . import kernels, linalg
 from .bruhat import (
@@ -81,7 +82,8 @@ class HasseMap(Record):
 
 
 def hasse_map(w: WeylElem, p: int) -> HasseMap:
-    """Assemble the weight map column by column on the basis characters."""
+    """Assemble the weight map column by column on the basis characters: the
+    dense reference that `cones.weight_preimage` is checked against."""
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     n = w.n
@@ -461,6 +463,45 @@ def _json_list(items: list[str], depth: int) -> str:
         return "[]"
     pad = "\n" + "  " * (depth + 1)
     return f"[{pad}{(',' + pad).join(items)}\n{'  ' * depth}]"
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: _BOOL.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def json_text(value, depth: int = 0) -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`, written
+    `depth` levels deep, for dicts with str keys, lists, tuples, str, int,
+    bool and None; anything else raises TypeError, as `json` does for a type
+    it cannot write.  Written directly: `indent` sends a payload through
+    CPython's pure-Python encoder.  Exact types are looked up first, and a
+    subclass is then tested in `json`'s order, so bool is never int and an
+    IntEnum writes as its int.  A list of one exact scalar type is rendered
+    by one C-level map."""
+    render = _SCALARS.get(type(value))
+    if render is not None:
+        return render(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        flat = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        return _json_list(list(map(flat, value)) if flat else [json_text(x, depth + 1) for x in value], depth)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pad = "\n" + "  " * (depth + 1)
+        body = ("," + pad).join(
+            [f"{encode_basestring_ascii(k)}: {json_text(v, depth + 1)}" for k, v in sorted(value.items())]
+        )
+        return f"{{{pad}{body}\n{'  ' * depth}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class _Fragments(dict):

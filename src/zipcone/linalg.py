@@ -3,7 +3,9 @@
 Everything here is exact and runs on integers; Fraction appears only in the
 answers.  The dimensions in this package are tiny (at most rank + 1).
 Rational rows are cleared of denominators on entry, and `rank` and
-`solve_square` share one fraction-free (Bareiss) forward elimination.
+`solve_square` share one fraction-free (Bareiss) forward elimination;
+`solve_square` is the dense reference that the weight map's cycle solve,
+`cones.weight_preimage`, is tested against.
 `farkas_split` is provenance-tracked Fourier-Motzkin elimination on integer
 rows, each derived row divided by the gcd of its entries: a search, used
 only for implications whose multipliers are not known in closed form, such
@@ -14,6 +16,7 @@ checked exactly by `cones.FarkasCertificate`, and never call it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -108,7 +111,7 @@ def solve_square(a: Sequence[Sequence], b: Sequence) -> Vector | None:
 
 
 def _integer_entries(row: Sequence) -> tuple[int, ...]:
-    if not all(isinstance(x, int) for x in row):
+    if not all(map(int.__instancecheck__, row)):
         raise ValueError(f"Fourier-Motzkin needs integer entries, got {tuple(row)}")
     return tuple(row)
 
@@ -126,7 +129,7 @@ def farkas_split(rows: Sequence[Sequence], target: Sequence):
     m = len(rows)
 
     def unit(k):
-        return tuple(int(i == k) for i in range(m + 1))
+        return (0,) * k + (1,) + (0,) * (m - k)
 
     # (dedup key, (coefficients, bound, provenance)); a row says
     # coefficients . x <= bound, and provenance holds its combination of the
@@ -151,12 +154,15 @@ def farkas_split(rows: Sequence[Sequence], target: Sequence):
     stages = []
     remaining = list(range(dim))
     while remaining:
-        # cheapest variable first: fewest pos*neg combinations
-        def cost(var):
-            pos = sum(1 for _, (c, _, _) in system if c[var] > 0)
-            neg = sum(1 for _, (c, _, _) in system if c[var] < 0)
-            return pos * neg
-        var = min(remaining, key=cost)
+        # cheapest variable first: fewest pos*neg combinations.  One pass
+        # transposes the system, and each remaining column, sorted, gives its
+        # negatives and positives by bisection at 0; index(min) keeps the
+        # first of equal costs in the order of `remaining`, and with no rows
+        # every cost is 0
+        columns = list(zip(*[c for _, (c, _, _) in system])) or [()] * dim
+        signs = [sorted(columns[v]) for v in remaining]
+        cost = [bisect_left(col, 0) * (len(col) - bisect_right(col, 0)) for col in signs]
+        var = remaining[cost.index(min(cost))]
         remaining.remove(var)
 
         pos, neg, keep = [], [], []
@@ -178,14 +184,15 @@ def farkas_split(rows: Sequence[Sequence], target: Sequence):
                 b = -cn[var]
                 coeffs = [b * x + a * y for x, y in zip(cp, cn)]
                 rhs = b * rp + a * rn
-                prov = [b * x + a * y for x, y in zip(pp, pn)]
                 if not any(coeffs):
                     if rhs < 0:
-                        return "multipliers", multipliers(prov)
+                        return "multipliers", multipliers([b * x + a * y for x, y in zip(pp, pn)])
                     continue
                 g = gcd(*coeffs, rhs)
                 key = (tuple(x // g for x in coeffs), rhs // g)
                 if key not in new_rows:
+                    # the provenance of a duplicate row is never read
+                    prov = [b * x + a * y for x, y in zip(pp, pn)]
                     g = gcd(g, *prov)
                     new_rows[key] = (
                         tuple(x // g for x in coeffs), rhs // g, tuple(x // g for x in prov)
@@ -199,14 +206,19 @@ def farkas_split(rows: Sequence[Sequence], target: Sequence):
             return "multipliers", multipliers(prov)
 
     # feasible: back-substitute a witness in reverse elimination order; each
-    # bound is a ratio of row entries, so it ignores the scale of its row
+    # bound is a ratio of row entries, so it ignores the scale of its row.
+    # A bound is summed in integers over the lcm of the set entries'
+    # denominators and normalized once, as one Fraction
     x = [Fraction(0)] * dim
     for var, bucket in reversed(stages):
         lo = None
         hi = None
         for coeffs, rhs, _ in bucket:
             c = coeffs[var]
-            bound = Fraction(rhs - sum(cj * xj for cj, xj in zip(coeffs, x) if cj), c)
+            terms = [(cj, xj) for cj, xj in zip(coeffs, x) if cj and xj]
+            scale = lcm(*[xj.denominator for _, xj in terms])
+            total = sum([cj * xj.numerator * (scale // xj.denominator) for cj, xj in terms])
+            bound = Fraction(rhs * scale - total, c * scale)
             if c > 0:
                 hi = bound if hi is None else min(hi, bound)
             else:

@@ -24,6 +24,7 @@ from zipcone.bruhat import (
 from zipcone.hasse import descent_path
 from zipcone.weylroot import (
     Root,
+    RootKind,
     WeylElem,
     canonical_elements,
     compose,
@@ -32,6 +33,8 @@ from zipcone.weylroot import (
     random_element,
     reflection,
     reflection_swaps,
+    root_index,
+    root_order,
     weyl_elements,
 )
 
@@ -179,6 +182,34 @@ def reference_gamma(i, j, w):
     return None
 
 
+CLASS_OF_KIND = {RootKind.DIFF: PairClass.E1, RootKind.SUM: PairClass.E2, RootKind.LONG: PairClass.E3}
+
+
+def reference_pair_root(n, i, j, low):
+    """`reference_gamma` for a pair (i, j), i < j, of which only whether
+    w(i) <= n is known: on an admissible pair w(j) < w(i), so that bound
+    is E2's whole test."""
+    if j <= n:
+        return Root.diff(i, j)
+    if i <= n and j == 2 * n + 1 - i:
+        return Root.long(i)
+    if i <= n < j and low:
+        k = 2 * n + 1 - j
+        return Root.sum(min(i, k), max(i, k))
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_class_rule_matches_the_class_definition(n):
+    for i in range(1, 2 * n):
+        for j in range(i + 1, 2 * n + 1):
+            for low in (True, False):
+                ref = reference_pair_root(n, i, j, low)
+                root = bruhat.pair_root(n, i, j, low)
+                assert root == (None if ref is None else root_order(ref)), (i, j, low)
+                assert bruhat.pair_class(root) is (PairClass.OTHER if ref is None else CLASS_OF_KIND[ref.kind])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_gamma_bijection_exhaustive(n):
     for w in weyl_elements(n):
@@ -198,7 +229,7 @@ def test_oracle_calls_no_admissible_pair_code(monkeypatch):
     counted = [
         (kernels, "admissible_pairs"),
         (kernels, "admissible_mask"),
-        (bruhat, "_pair_roots"),
+        (bruhat, "classed_pairs"),
         (bruhat, "_pair_rows"),
     ]
     calls = dict.fromkeys([name for _, name in counted], 0)
@@ -212,8 +243,8 @@ def test_oracle_calls_no_admissible_pair_code(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
 
-    # _pair_rows reads the root_index formula and builds no _pair_roots, so
-    # each wrapper counts only the calls made to it
+    # _pair_rows applies the class rule itself, not through classed_pairs,
+    # so each wrapper counts only the calls made to it
     for module, name in counted:
         count_calls(module, name)
     rng = random.Random(6)
@@ -236,22 +267,25 @@ def test_oracle_calls_no_admissible_pair_code(monkeypatch):
     assert calls == {
         "admissible_pairs": len(elems),
         "admissible_mask": len(elems) + len(walk),
-        "_pair_roots": len(elems),
+        "classed_pairs": len(elems),
         "_pair_rows": len(elems) + len(walk),
     }
 
 
-def pair_rows_from_pair_roots(n):
-    """The admissible-mask row table derived from the classes, bounds and
-    root indices of `_pair_roots`."""
-    m = 2 * n
-    rows = [([-1] * m, [-1] * m) for _ in range(n)]
-    for (i, j), (_, _, bound, index) in bruhat._pair_roots(n).items():
-        low, high = rows[i - 1]
-        low[j - 1] = index
-        if bound == m:
-            high[j - 1] = index
-    return tuple((tuple(low), tuple(high)) for low, high in rows)
+def pair_rows_from_class_definition(n):
+    """The admissible-mask row table derived from the written-out class
+    definitions of `reference_pair_root` and `root_order`."""
+    rows = []
+    for i in range(1, n + 1):
+        low, high = (
+            tuple(
+                -1 if root is None else root_index(n, *root_order(root))
+                for root in [None] * i + [reference_pair_root(n, i, j, flag) for j in range(i + 1, 2 * n + 1)]
+            )
+            for flag in (True, False)
+        )
+        rows.append((low, high))
+    return tuple(rows)
 
 
 def coroot_edges_from_coroots(n):
@@ -264,9 +298,18 @@ def coroot_edges_from_coroots(n):
     return tuple(edges)
 
 
+def pair_rows_from_class_rule(n):
+    """The admissible-mask row table with one `pair_root` call per entry."""
+    def row(i, low):
+        roots = [bruhat.pair_root(n, i, j, low) for j in range(i + 1, 2 * n + 1)]
+        return (-1,) * i + tuple(-1 if r is None else root_index(n, *r) for r in roots)
+
+    return tuple((row(i, True), row(i, False)) for i in range(1, n + 1))
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_arithmetic_tables_match_the_root_objects(n):
-    assert bruhat._pair_rows(n) == pair_rows_from_pair_roots(n)
+    assert bruhat._pair_rows(n) == pair_rows_from_class_definition(n) == pair_rows_from_class_rule(n)
     assert bruhat._coroot_edges(n) == coroot_edges_from_coroots(n)
 
 
@@ -438,3 +481,30 @@ def test_stratum_dim():
         assert stratum_dim(top) - dim_p == n * (n + 1) // 2
     with pytest.raises(ValueError):
         stratum_dim(WeylElem.parse("4 3 2 1"))
+
+
+def one_scan_mask(w):
+    """E_w from the element's own classed pairs, as a root bitmask."""
+    return sum(1 << root_index(w.n, *root_order(a)) for a in bruhat.neighbor_roots(bruhat.classed_pairs(w)))
+
+
+def assert_one_scan_matches(w):
+    roots = bruhat.neighbor_roots(bruhat.classed_pairs(w))
+    assert roots == sorted(set(roots), key=root_order)  # in root order, each once
+    table, oracle = lower_neighbors(w), lower_neighbors_oracle(w)
+    assert one_scan_mask(w) == table.mask == oracle.mask, w
+    assert bruhat.roots_separating(w.n, roots) == is_separating(table) == is_separating(oracle), w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_scan_neighbors_match_both_masks_on_every_window(n):
+    for w in weyl_elements(n):
+        assert_one_scan_matches(w)
+
+
+@pytest.mark.parametrize("n", [5, 8, 13, 21, 40])
+def test_one_scan_neighbors_match_both_masks_on_seeded_windows(n):
+    rng = random.Random(4000 + n)
+    ce = canonical_elements(n)
+    for w in [ce.w0, ce.w0I, ce.wmax, WeylElem.identity(n)] + [random_element(n, rng) for _ in range(40)]:
+        assert_one_scan_matches(w)

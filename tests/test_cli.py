@@ -316,14 +316,21 @@ def test_sweep_with_zero_total_is_not_ok():
     assert SweepResult("bruhat", {"n": 2}, 3, 3, (), ()).ok
 
 
-def test_sweep_refuses_gamma_above_rank_limit(capsys):
+def test_sweep_refuses_gamma_above_rank_limit(capsys, monkeypatch):
+    import zipcone.cli
     from zipcone.cli import MAX_GAMMA_RANK
 
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a refused rank must sweep nothing")
+
+    monkeypatch.setattr(zipcone.cli, "gamma_suite", no_sweep)
     assert_refused(
         capsys,
-        ["sweep", "--suite", "gamma", "--n", f"2,{MAX_GAMMA_RANK + 2}"],
-        f"--n must be at most {MAX_GAMMA_RANK} for --suite gamma, got {MAX_GAMMA_RANK + 2}",
+        ["sweep", "--suite", "gamma", "--n", "2,8"],
+        f"--n must be at most {MAX_GAMMA_RANK} for --suite gamma, got 8",
     )
+    with pytest.raises(AssertionError, match="sweep nothing"):
+        run(["sweep", "--suite", "gamma", "--n", "7", "--jobs", "2"])
 
 
 def test_sweep_refuses_sampled_bruhat_above_rank_limit(capsys):
@@ -446,14 +453,15 @@ def test_bruhat_refuses_preceq_above_rank_limit(capsys, monkeypatch):
 
 def _refuse_cone_above(capsys, monkeypatch, cone, limit, extra=lambda n: []):
     """cone-check --cone CONE one rank above its limit exits 2 before any
-    cone is built or any weight map solved; at the limit it gets there."""
+    membership is tested or any weight map solved; at the limit it gets
+    there."""
     import zipcone.cli
 
     def no_cone(*args, **kwargs):
         raise AssertionError("a refused --cone must build nothing")
 
-    monkeypatch.setattr(zipcone.cli, "_named_cone", no_cone)
-    monkeypatch.setattr(zipcone.cli, "pha_w_member", no_cone)
+    for work in ("_cone", "gs_member", "pha_wmax_member", "pha_w_member"):
+        monkeypatch.setattr(zipcone.cli, work, no_cone)
 
     def argv(n):
         lam = ",".join(["-1"] * n) + "|0"
@@ -863,7 +871,7 @@ def test_cli_builds_each_named_cone_once(capsys, monkeypatch):
         assert invoke(capsys, *argv)[0] == 0
     assert built == [3]
     # positive control: another rank is another cone
-    assert invoke(capsys, "cone-check", "--cone", "pha-wmax", "--lambda=-1,0|0")[0] == 0
+    assert invoke(capsys, "farkas", "--cone", "pha-wmax", "--target", "1,0|0")[0] == 0
     assert built == [3, 2]
 
 
@@ -893,3 +901,81 @@ def test_cli_cone_cache_leaves_direct_construction_checked(capsys, monkeypatch):
     )
     with pytest.raises(AssertionError):
         cones.pha_wmax_cone(3)
+
+
+def test_neighbors_refuses_rank_above_limit_before_any_scan(capsys, monkeypatch):
+    import zipcone.cli
+    from zipcone.cli import MAX_NEIGHBORS_RANK
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a refused window must be scanned by nothing")
+
+    monkeypatch.setattr(zipcone.cli, "classed_pairs", no_scan)
+
+    def w0(n):
+        return " ".join(map(str, range(2 * n, 0, -1)))
+
+    bad = MAX_NEIGHBORS_RANK + 1
+    assert_refused(
+        capsys, ["neighbors", "--elem", w0(bad), "--json"], f"neighbors needs rank at most {MAX_NEIGHBORS_RANK}, got {bad}"
+    )
+    with pytest.raises(AssertionError, match="scanned by nothing"):
+        run(["neighbors", "--elem", w0(MAX_NEIGHBORS_RANK), "--json"])
+
+
+@pytest.mark.parametrize("cone", ["gs", "pha-wmax", "lmin-i"])
+def test_farkas_refuses_named_cones_above_rank_limit_before_any_build(capsys, monkeypatch, cone):
+    import zipcone.cli
+    from zipcone.cli import MAX_FARKAS_RANK
+
+    def no_cone(*args, **kwargs):
+        raise AssertionError("a refused --cone must build nothing")
+
+    monkeypatch.setattr(zipcone.cli, "_cone", no_cone)
+    limit = MAX_FARKAS_RANK[cone]
+
+    def argv(n):
+        return ["farkas", "--cone", cone, "--p", "5", f"--target={','.join(['1'] * n)}|0", "--json"]
+
+    assert_refused(capsys, argv(limit + 1), f"farkas --cone {cone} needs rank at most {limit}, got {limit + 1}")
+    with pytest.raises(AssertionError, match="build nothing"):
+        run(argv(limit))
+
+
+SMALL_VERBS = [
+    ["weyl", "--elem", "4 6 5 2 1 3", "--length", "--inverse", "--act=1,-2,3/2|1"],
+    ["weyl", "--n", "3", "--canonical", "--elem", "4 6 5 2 1 3"],
+    ["neighbors", "--elem", "4 6 5 2 1 3"],
+    ["neighbors", "--elem", "1 2 3 4"],
+    ["cone-check", "--cone", "gs", "--lambda=0,-1,-1|2"],
+    ["cone-check", "--cone", "lmin", "--p", "3", "--lambda=1,-4,-4|0"],
+    ["cone-check", "--cone", "lmin-i", "--p", "3", "--lambda=1,-4,-4|0"],
+    ["cone-check", "--cone", "pha-wmax", "--lambda=0,-1/2,-1|2"],
+    ["cone-check", "--cone", "pha", "--p", "5", "--elem", "4 6 5 2 1 3", "--lambda=1,-3/2,2|1"],
+    ["farkas", "--cone", "gs", "--target=1,1,1|0"],
+    ["farkas", "--cone", "lmin-i", "--p", "3", "--target=1,-2,0|0"],
+    ["farkas", "--cone", "n3", "--p", "2", "--target=4,1,2|0"],
+    ["enum-iw", "--n", "3"],
+    ["bruhat", "--elem", "1 3 2 4", "--elem2", "3 4 1 2", "--preceq"],
+    ["sweep", "--suite", "gamma", "--n", "2,3"],
+    ["sweep", "--suite", "redundancy", "--n", "2", "--p", "3", "--samples", "20", "--seed", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_VERBS, ids=" ".join)
+def test_small_verb_json_is_the_json_dumps_text(capsys, monkeypatch, argv):
+    """Each small verb's payload, as `_emit` receives it, renders to the
+    text of `json.dumps(payload, indent=2, sort_keys=True)`."""
+    import zipcone.cli
+
+    seen = []
+    real = zipcone.cli.json_text
+
+    def checked(payload):
+        seen.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(zipcone.cli, "json_text", checked)
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code in (0, 1) and len(seen) == 1
+    assert out == json.dumps(seen[0], indent=2, sort_keys=True) + "\n"

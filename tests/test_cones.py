@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -11,17 +12,22 @@ from zipcone.cones import (
     cone_GS,
     dominance_functionals,
     farkas_implies,
+    gs_member,
     lmin_member,
     lmin_member_enumerated,
     lmin_prefix_cone,
+    lmin_prefix_member,
     n3_exact_cone,
     orbit_subset_functional,
     orbit_worst_rows,
     pha_w_member,
     pha_wmax_cone,
+    pha_wmax_member,
     prefix_functional,
+    weight_preimage,
     worst_subset,
 )
+from zipcone.hasse import hasse_map
 from zipcone.linalg import dot
 from zipcone.sweeps import random_dominant_character, random_rat_character
 from zipcone.weylroot import (
@@ -33,6 +39,7 @@ from zipcone.weylroot import (
     long_orbit,
     random_element,
     sum_orbit,
+    weyl_elements,
 )
 
 
@@ -358,3 +365,105 @@ def test_pha_w_member_random_strata():
         lam = (-1 * act(w, chi)) + p * act(canonical_elements(3).wmax, chi)
         expected = all(pairing(chi, a) >= 0 for a in lower_neighbors(w).roots)
         assert pha_w_member(lam, w, p).member == expected
+
+
+# ---------------------------------------------------------------------------
+# the weight map solved along cycles, and memberships from the inequality form
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weight_preimage_matches_the_dense_solve_on_every_element(n):
+    rng = random.Random(900 + n)
+    for w in weyl_elements(n):
+        for p in (2, 3, 5, 7, 13):
+            lam = Character(tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-3, 3))
+            chi = weight_preimage(lam, w, p)
+            assert chi == hasse_map(w, p).inverse_apply(lam)
+            assert (-1 * act(w, chi)) + p * act(canonical_elements(n).wmax, chi) == RatCharacter(lam.a, lam.b)
+
+
+RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 2**32),
+            st.one_of(
+                st.tuples(st.lists(st.integers(-60, 60), min_size=n, max_size=n), st.integers(-5, 5)).map(
+                    lambda ab: Character(tuple(ab[0]), ab[1])
+                ),
+                st.tuples(st.lists(RATIONALS, min_size=n, max_size=n), RATIONALS).map(
+                    lambda ab: RatCharacter(tuple(ab[0]), ab[1])
+                ),
+            ),
+        )
+    ),
+    st.sampled_from([2, 3, 5, 7, 13]),
+)
+def test_weight_preimage_matches_the_dense_solve(case, p):
+    n, seed, lam = case
+    w = random_element(n, random.Random(seed))
+    chi = weight_preimage(lam, w, p)
+    dense = hasse_map(w, p).inverse_apply(lam)
+    assert chi == dense
+    assert str(chi) == str(dense)
+
+
+def test_weight_preimage_refuses_a_rank_mismatch_and_a_small_p():
+    w0 = canonical_elements(3).w0
+    with pytest.raises(ValueError, match="rank mismatch: 2 vs 3"):
+        weight_preimage(Character((1, 2), 0), w0, 5)
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        weight_preimage(Character((1, 2, 3), 0), w0, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def named_cones(n, p):
+    return cone_GS(n), pha_wmax_cone(n), lmin_prefix_cone(n, p)
+
+
+def assert_memberships_match_the_cones(lam, p):
+    gs, pha_wmax, lmin_i = named_cones(lam.n, p)
+    assert gs_member(lam) == gs.member(lam), lam
+    assert pha_wmax_member(lam) == pha_wmax.member(lam), lam
+    assert lmin_prefix_member(lam, p) == lmin_i.member(lam), (lam, p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 16).flatmap(lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([2, 3, 5, 7, 13]),
+)
+def test_linear_memberships_match_the_cones(a, dominant, b, p):
+    # small entries give ties and zeros; half the draws are sorted, so that
+    # dominant characters, where gs and lmin-i look past dominance, are common
+    a = sorted(a, reverse=True) if dominant else a
+    assert_memberships_match_the_cones(Character(tuple(a), b), p)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_linear_memberships_match_the_cones_on_their_faces(n, p):
+    faces = [
+        (0,) * n,  # every row of every cone at 0
+        (0,) + (-1,) * (n - 1),  # a_1 = 0: the row of 2e_1 at 0
+        (-1,) * n,  # ties: every Levi row at 0
+        (1,) + (0,) * (n - 1),  # just outside a_1 <= 0
+        (0,) * (n - 1) + (1,),  # not dominant, on the boundary of a_n
+    ]
+    for a in faces:
+        assert_memberships_match_the_cones(Character(a, 1), p)
+    if n >= 2:
+        # prefix row 1 exactly at 0 and every other row below it: a member of
+        # lmin-i, and one just past it is not
+        tail = (Fraction(-p, n - 1),) * (n - 1)
+        on_row = RatCharacter((Fraction(1),) + tail, Fraction(0))
+        past_row = RatCharacter((Fraction(101, 100),) + tail, Fraction(0))
+        assert lmin_prefix_member(on_row, p) and not lmin_prefix_member(past_row, p)
+        assert_memberships_match_the_cones(on_row, p)
+        assert_memberships_match_the_cones(past_row, p)

@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 
@@ -16,6 +17,7 @@ from zipcone.hasse import (
     ha_closed_form,
     PathReport,
     hasse_map,
+    json_text,
     step_weight,
     verify_path_lemmas,
 )
@@ -349,3 +351,58 @@ def test_path_report_streams_one_block_per_step(n):
     for step, block in zip(report.steps, blocks[1:]):
         assert f'"window": "{step.window}"' in block
     assert "".join(report.iter_json(1)) == report.to_json().replace("\n", "\n  ")
+
+
+# ---------------------------------------------------------------------------
+# the direct JSON renderer of the small verbs
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES, st.integers(0, 3))
+def test_json_text_is_the_json_dumps_text(value, depth):
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    assert json_text(value, depth) == expected.replace("\n", "\n" + "  " * depth)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        [[], {}, ()],
+        {"": [], "a": {}},
+        [True, 1, False, 0, None],
+        {"one": 1, "true": True, "zero": 0, "false": False},
+        [1, 2, 3],
+        [True, False],
+        ["e1-e2", "2e1"],
+        'quote " backslash \\ newline \n tab \t nul \x00 bell \x07',
+        "non-ASCII: é 中 \U0001f600 \ud800",
+        {"é": "é", "\x00": "\n", "b": [-(2**80), 2**80]},
+        [Level.LOW, Level.HIGH, 3],
+        {"level": Level.HIGH, "nested": [[Level.LOW], {"k": (Level.LOW, True)}]},
+        {"z": 1, "a": 2, "m": [{"y": None, "b": "x"}]},
+    ],
+)
+def test_json_text_examples(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, object(), b"bytes", [1, 2.0], {"k": {1}}])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)

@@ -103,6 +103,8 @@ TEST_ONLY = {
     "certify.Certificate.to_json": "the streamed certificate text joined into one string, for library callers and the byte-for-byte tests",
     "certify.Certificate.from_json_dict": "the certificate loader of the round-trip tests, until `check-cert` (ROADMAP item 1) replaces it",
     "cones.worst_subset": "the root-level worst subset that orbit_worst_rows' closed-form rows are checked against",
+    "hasse.hasse_map": "the dense weight matrix, the reference that cones.weight_preimage's cycle solve is checked against; a span of perfbench/tracing.SPANS",
+    "hasse.HasseMap.inverse_apply": "the dense Bareiss solve of the weight map, the reference for cones.weight_preimage",
     "hasse.eset_reference": "the uncorrected closed form of E_w as a root set, an example reference for the path report's masks",
     "hasse.eset_verified": "the corrected closed form of E_w as a root set, an example reference for the path report's masks",
     "hasse.PathReport.to_json": "the streamed path report joined into one string, for library callers and the byte-for-byte tests",
