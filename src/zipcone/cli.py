@@ -6,8 +6,11 @@ check fails, 2 on usage errors.  --json switches to the documented schema;
 sampled sweeps embed their seed so identical flags give byte-identical
 output.
 
-In one process `run` keeps one argument parser and each named cone it has
-built, so repeated in-process calls pay only for the question asked.
+Every value with a bounded range is checked against its `LIMITS` row before
+any work: outside it the CLI exits 2 with one message naming the verb, the
+scope, the option, the bound and the value.  In one process `run` keeps one
+argument parser and each named cone it has built, so repeated in-process
+calls pay only for the question asked.
 """
 
 from __future__ import annotations
@@ -57,29 +60,40 @@ from .weylroot import (
 )
 
 
-# Largest inputs the CLI accepts, so that every accepted input finishes;
-# beyond each rank limit the work at least doubles with every rank.
-MAX_GAMMA_RANK = 7  # gamma visits all 2^n n! elements
-MAX_BRUHAT_RANK = 5  # bruhat builds the cover closure of all elements
-MAX_BRUHAT_EXHAUSTIVE_RANK = 4  # without --samples it checks all pairs
-MAX_ENUM_IW_RANK = 16  # enum-iw lists 2^n representatives
-MAX_SAMPLES = 100_000
-MAX_JOBS = 32  # sweep --jobs is the worker-process count of one Pool
-MAX_PRECEQ_RANK = 9  # bruhat --preceq visits all n! Levi elements
-# path, verify-theorem, neighbors, cone-check and farkas grow polynomially,
-# not exponentially: each limit is the largest rank whose time is measured
-# (README limits table).  cone-check answers from the element and the
-# cone's inequality form, and its limits and the neighbors limit are the
-# largest measured under the targets of that table; farkas builds its cone
-# and searches, and its limits are the largest measured under about 5 s
-MAX_PATH_RANK = 128
-MAX_CERT_RANK = 64
-MAX_GS_RANK = 4096
-MAX_PHA_WMAX_RANK = 4096
-MAX_PHA_RANK = 1000
-MAX_NEIGHBORS_RANK = 1000
-MAX_FARKAS_RANK = {"gs": 10, "pha-wmax": 224, "lmin-i": 16}
-MAX_CANONICAL_RANK = 300  # weyl --canonical prints four windows of length 2n
+# The range of each value the CLI accepts, keyed by (verb, option, scope):
+# the scope is the flag that selects the bounded work, None where the bound
+# holds for the whole verb, and a window or character option (--elem,
+# --lambda, --target) is bounded by its rank.  (lo, hi) are inclusive, None
+# is no bound.  `_check_limit` tests each parsed value against its row
+# before any work starts.  In the exponential rows (sweeps, enum-iw,
+# --preceq) the work at least doubles with every rank; every other rank
+# limit is the largest rank measured within the times of README's limits
+# table, which lists these rows in this order.
+LIMITS = {
+    ("weyl", "--n", "--canonical"): (None, 300),  # prints four 2n-entry windows
+    ("weyl", "--elem", None): (None, 5000),  # O(n^2) length
+    ("neighbors", "--elem", None): (None, 1000),
+    ("path", "--n", None): (None, 128),
+    ("cone-check", "--lambda", "--cone gs"): (None, 4096),
+    ("cone-check", "--lambda", "--cone pha-wmax"): (None, 4096),
+    ("cone-check", "--lambda", "--cone pha"): (None, 1000),
+    ("cone-check", "--p", None): (2, None),
+    ("farkas", "--target", "--cone gs"): (None, 10),
+    ("farkas", "--target", "--cone pha-wmax"): (None, 224),
+    ("farkas", "--target", "--cone lmin-i"): (None, 16),
+    ("verify-theorem", "--n", None): (None, 64),
+    ("enum-iw", "--n", None): (None, 16),  # 2^n representatives
+    ("bruhat", "--elem", None): (None, 3500),  # O(n^2) comparisons and lengths
+    ("bruhat", "--elem", "--preceq"): (None, 9),  # all n! Levi elements
+    ("sweep", "--n", "--suite gamma"): (1, 7),  # all 2^n n! elements
+    ("sweep", "--n", "--suite bruhat"): (1, 5),  # cover closure of all elements
+    ("sweep", "--n", "--suite bruhat --samples 0"): (1, 4),  # every pair of elements
+    ("sweep", "--n", "--suite lmin-oracle"): (1, MAX_ENUMERATED_RANK),
+    ("sweep", "--n", "--suite redundancy"): (2, MAX_ENUMERATED_RANK),  # its claim needs rank 2
+    ("sweep", "--p", None): (2, None),
+    ("sweep", "--samples", None): (0, 100_000),
+    ("sweep", "--jobs", None): (1, 32),  # worker processes of one Pool
+}
 
 
 class UsageError(Exception):
@@ -108,7 +122,7 @@ class _Formatter(argparse.HelpFormatter):
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     # --help shows the docstring without its last paragraph, which is about
-    # in-process use
+    # limits and in-process use
     parser = _Parser(prog="zipcone", description=__doc__.rpartition("\n\n")[0], formatter_class=_Formatter)
     # with a prog, add_subparsers formats no usage to derive one
     sub = parser.add_subparsers(dest="verb", prog=parser.prog)
@@ -184,6 +198,21 @@ def _check_rank_flag(n: int | None, char, flag: str) -> None:
         raise UsageError(f"--n is {n} but {flag} has rank {char.n}")
 
 
+def _check_limit(verb: str, option: str, value: int, scope: str | None = None) -> None:
+    """Refuse a value outside its `LIMITS` row, naming the row, the bound
+    and the value."""
+    lo, hi = LIMITS[verb, option, scope]
+    if lo is not None and value < lo:
+        bound = f"at least {lo}"
+    elif hi is not None and value > hi:
+        bound = f"at most {hi}"
+    else:
+        return
+    where = f"{verb} {scope}" if scope else verb
+    what = f"the rank of {option}" if option in ("--elem", "--lambda", "--target") else option
+    raise UsageError(f"{where}: {what} must be {bound}, got {value}")
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
@@ -218,13 +247,18 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _cmd_weyl(args) -> int:
-    payload: dict = {"backend": kernels.BACKEND}
-    lines: list[str] = []
     if args.canonical:
         if args.n is None:
             raise UsageError("--canonical requires --n")
-        if args.n > MAX_CANONICAL_RANK:
-            raise UsageError(f"--canonical needs rank at most {MAX_CANONICAL_RANK}, got {args.n}")
+        _check_limit("weyl", "--n", args.n, "--canonical")
+    if args.elem:
+        w = WeylElem.parse(args.elem, args.n)
+        _check_limit("weyl", "--elem", w.n)
+    elif not args.canonical:
+        raise UsageError("weyl needs --elem or --canonical")
+    payload: dict = {"backend": kernels.BACKEND}
+    lines: list[str] = []
+    if args.canonical:
         ce = canonical_elements(args.n)
         payload["canonical"] = {
             "w0": str(ce.w0),
@@ -234,32 +268,26 @@ def _cmd_weyl(args) -> int:
         }
         lines += [f"w0:   {ce.w0}", f"w0I:  {ce.w0I}", f"wmax: {ce.wmax}", f"z:    {ce.z}"]
     if args.elem:
-        w = WeylElem.parse(args.elem, args.n)
         payload["elem"] = str(w)
         if args.length:
             payload["length"] = w.length()
-            lines.append(str(w.length()))
+            lines.append(str(payload["length"]))
         if args.inverse:
             payload["inverse"] = str(w.inverse())
-            lines.append(str(w.inverse()))
+            lines.append(payload["inverse"])
         if args.act:
-            lam = _parse_char(args.act)
-            payload["act"] = str(act(w, lam))
-            lines.append(str(act(w, lam)))
+            payload["act"] = str(act(w, _parse_char(args.act)))
+            lines.append(payload["act"])
         if not (args.length or args.inverse or args.act):
             payload["length"] = w.length()
-            lines.append(f"window: {w}")
-            lines.append(f"length: {w.length()}")
-    elif not args.canonical:
-        raise UsageError("weyl needs --elem or --canonical")
+            lines += [f"window: {w}", f"length: {payload['length']}"]
     _emit(payload, args.json, lines)
     return 0
 
 
 def _cmd_neighbors(args) -> int:
     w = WeylElem.parse(args.elem, args.n)
-    if w.n > MAX_NEIGHBORS_RANK:
-        raise UsageError(f"neighbors needs rank at most {MAX_NEIGHBORS_RANK}, got {w.n}")
+    _check_limit("neighbors", "--elem", w.n)
     # one scan of the window: E_w and its separating verdict come from the
     # classed pairs it prints, with no per-rank table
     pairs = classed_pairs(w)
@@ -288,8 +316,7 @@ def _cmd_neighbors(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    if args.n > MAX_PATH_RANK:
-        raise UsageError(f"--n must be at most {MAX_PATH_RANK}, got {args.n}")
+    _check_limit("path", "--n", args.n)
     report = verify_path_lemmas(args.n, args.p)
     if args.json:
         for block in report.iter_json():
@@ -315,11 +342,12 @@ def _cmd_cone_check(args) -> int:
     lam = _parse_char(args.lam)
     _check_rank_flag(args.n, lam, "--lambda")
     n = lam.n
-    limit = {"gs": MAX_GS_RANK, "pha-wmax": MAX_PHA_WMAX_RANK, "pha": MAX_PHA_RANK}.get(args.cone)
-    if limit is not None and n > limit:
-        raise UsageError(f"--cone {args.cone} needs rank at most {limit}, got {n}")
-    if args.p is not None and args.p < 2:
-        raise UsageError("p must be at least 2")
+    scope = f"--cone {args.cone}"
+    # lmin and lmin-i have no row: they answer in O(n) at any rank
+    if ("cone-check", "--lambda", scope) in LIMITS:
+        _check_limit("cone-check", "--lambda", n, scope)
+    if args.p is not None:
+        _check_limit("cone-check", "--p", args.p)
     extra: dict = {}
     if args.cone == "lmin":
         member = lmin_member(lam, _require_p(args))
@@ -360,9 +388,7 @@ def _cmd_farkas(args) -> int:
             raise UsageError("--cone n3 needs a rank-3 functional")
         cone = n3_exact_cone(p)
     else:
-        limit = MAX_FARKAS_RANK[args.cone]
-        if n > limit:
-            raise UsageError(f"farkas --cone {args.cone} needs rank at most {limit}, got {n}")
+        _check_limit("farkas", "--target", n, f"--cone {args.cone}")
         cone = _cone(args.cone, n, _require_p(args) if args.cone == "lmin-i" else None)
     cert = farkas_implies(target.vector(), cone)
     payload = {"cone": args.cone, **cert.to_json_dict()}
@@ -383,8 +409,7 @@ def _out_error(path: str, exc: OSError) -> ValueError:
 
 
 def _cmd_verify_theorem(args) -> int:
-    if args.n > MAX_CERT_RANK:
-        raise UsageError(f"--n must be at most {MAX_CERT_RANK}, got {args.n}")
+    _check_limit("verify-theorem", "--n", args.n)
     if args.out:
         # refuse a path that cannot be written before the build, not after it;
         # the probe leaves no trace: append mode keeps an existing file as it
@@ -426,8 +451,7 @@ def _written(path: str, blocks):
 
 
 def _cmd_enum_iw(args) -> int:
-    if args.n > MAX_ENUM_IW_RANK:
-        raise UsageError(f"--n must be at most {MAX_ENUM_IW_RANK}, got {args.n}")
+    _check_limit("enum-iw", "--n", args.n)
     reps = enum_IW(args.n)
     wmax = canonical_elements(args.n).wmax
     payload = {
@@ -445,6 +469,12 @@ def _cmd_enum_iw(args) -> int:
 def _cmd_bruhat(args) -> int:
     w1 = WeylElem.parse(args.elem)
     w2 = WeylElem.parse(args.elem2)
+    _check_limit("bruhat", "--elem", w1.n, "--preceq" if args.preceq else None)
+    # so the bound on --elem holds for --elem2, before `is_min_rep` reads it
+    if w1.n != w2.n:
+        raise ValueError(f"rank mismatch: {w1.n} vs {w2.n}")
+    if args.preceq and not (is_min_rep(w1) and is_min_rep(w2)):
+        raise UsageError("--preceq needs minimal coset representatives")
     payload = {
         "elem": str(w1),
         "elem2": str(w2),
@@ -457,48 +487,30 @@ def _cmd_bruhat(args) -> int:
         f"{w2} <= {w1}: {str(payload['geq']).lower()}",
     ]
     if args.preceq:
-        if w1.n > MAX_PRECEQ_RANK:
-            raise UsageError(f"--preceq needs rank at most {MAX_PRECEQ_RANK}, got {w1.n}")
-        if not (is_min_rep(w1) and is_min_rep(w2)):
-            raise UsageError("--preceq needs minimal coset representatives")
         payload["preceq"] = preceq(w1, w2)
         lines.append(f"{w1} preceq {w2}: {str(payload['preceq']).lower()}")
     _emit(payload, args.json, lines)
     return 0
 
 
-def _check_sweep_args(args, ranks: list[int]) -> None:
-    if not ranks:
-        raise UsageError("--n needs at least one rank")
-    limit = {"gamma": MAX_GAMMA_RANK, "bruhat": MAX_BRUHAT_RANK}.get(
-        args.suite, MAX_ENUMERATED_RANK
-    )
-    scope = f"--suite {args.suite}"
-    if args.suite == "bruhat" and not args.samples:
-        limit, scope = MAX_BRUHAT_EXHAUSTIVE_RANK, scope + " without --samples"
-    for n in ranks:
-        if n < 1:
-            raise UsageError(f"--n must be at least 1, got {n}")
-        if n > limit:
-            raise UsageError(f"--n must be at most {limit} for {scope}, got {n}")
-        if args.suite == "redundancy" and n < 2:
-            raise UsageError(
-                f"--suite redundancy needs --n at least 2 (its claim is about rank >= 2), got {n}"
-            )
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.jobs > MAX_JOBS:
-        raise UsageError(f"--jobs must be at most {MAX_JOBS}, got {args.jobs}")
-    if args.samples < 0:
-        raise UsageError(f"--samples must be at least 0, got {args.samples}")
-    if args.samples > MAX_SAMPLES:
-        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
-
-
 def _cmd_sweep(args) -> int:
     ranks = _int_list(args.n)
     ps = _int_list(args.p) if args.p else []
-    _check_sweep_args(args, ranks)
+    if not ranks:
+        raise UsageError("--n needs at least one rank")
+    scope = f"--suite {args.suite}"
+    if args.suite == "bruhat" and not args.samples:
+        scope += " --samples 0"
+    # every listed value is checked before the first suite runs
+    for n in ranks:
+        _check_limit("sweep", "--n", n, scope)
+    if args.suite in ("lmin-oracle", "redundancy"):
+        if not ps:
+            raise UsageError(f"--suite {args.suite} requires --p")
+        for p in ps:
+            _check_limit("sweep", "--p", p)
+    _check_limit("sweep", "--samples", args.samples)
+    _check_limit("sweep", "--jobs", args.jobs)
     results = []
     for n in ranks:
         if args.suite == "gamma":
@@ -506,14 +518,10 @@ def _cmd_sweep(args) -> int:
         elif args.suite == "bruhat":
             results.append(bruhat_suite(n, samples=args.samples, seed=args.seed))
         elif args.suite == "lmin-oracle":
-            if not ps:
-                raise UsageError("--suite lmin-oracle requires --p")
             samples = args.samples or 100
             for p in ps:
                 results.append(lmin_oracle_suite(n, p, samples, args.seed, jobs=args.jobs))
         else:
-            if not ps:
-                raise UsageError("--suite redundancy requires --p")
             samples = args.samples or 100
             for p in ps:
                 results.append(redundancy_suite(n, p, samples, args.seed))

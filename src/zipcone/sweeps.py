@@ -23,7 +23,7 @@ from .cones import (
     lmin_member_enumerated,
     prefix_functional,
 )
-from .weylroot import RatCharacter, Record, WeylElem, reflection_windows, weyl_windows
+from .weylroot import RatCharacter, Record, WeylElem, _window_from_swaps, reflection_swaps, weyl_windows
 
 _MAX_REPORTED_FAILURES = 20
 
@@ -121,13 +121,14 @@ def cover_closure_bits(windows: list[tuple[int, ...]]) -> list[int]:
     masks of its lower neighbors w*s_alpha, filled in order of length.
     Works on raw windows and integer indices; the windows must be the whole
     group of one rank, so that every lower neighbor is among them.  Each
-    bit of a window's neighbor mask indexes the reflection windows, which
-    come in the same root order; each is held as an itemgetter of 0-based
-    positions, so that getter(w) is `kernels.compose(w, s_alpha)` in one C
-    call."""
+    bit of a window's neighbor mask indexes the roots of `reflection_swaps`,
+    which come in the same order; each reflection is held as an itemgetter
+    of 0-based positions, so that getter(w) is `kernels.compose(w, s_alpha)`
+    in one C call."""
+    n = len(windows[0]) // 2
     refl = [
-        itemgetter(*[x - 1 for x in s])
-        for s in reflection_windows(len(windows[0]) // 2).values()
+        itemgetter(*[x - 1 for x in _window_from_swaps(swaps, n)])
+        for swaps in reflection_swaps(n).values()
     ]
     index = {win: k for k, win in enumerate(windows)}
     bits = [0] * len(windows)

@@ -552,22 +552,18 @@ def reflection(alpha: Root, n: int) -> WeylElem:
 
 
 def reflection_window(alpha: Root, n: int) -> tuple[int, ...]:
-    """The raw window of s_alpha, from the per-rank table."""
+    """The raw window of s_alpha: the identity with the swaps of
+    `reflection_swaps(n)[alpha]` applied, built in O(n) on each call."""
     alpha.check_rank(n)
-    return reflection_windows(n)[alpha]
+    return _window_from_swaps(reflection_swaps(n)[alpha], n)
 
 
-@functools.lru_cache(maxsize=32)
-def reflection_windows(n: int) -> Mapping[Root, tuple[int, ...]]:
-    """Every positive root of rank n mapped to the raw window of its
-    reflection, in the order of `positive_roots`.  Built once per rank, on
-    first use; read-only, since every caller shares it."""
-    return MappingProxyType(
-        {
-            alpha: _build_reflection_window(swaps, n)
-            for alpha, swaps in reflection_swaps(n).items()
-        }
-    )
+def _window_from_swaps(swaps: tuple[tuple[int, int], ...], n: int) -> tuple[int, ...]:
+    """The rank-n identity window with the 1-based position swaps applied."""
+    w = list(range(1, 2 * n + 1))
+    for a, b in swaps:
+        w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
+    return tuple(w)
 
 
 @functools.lru_cache(maxsize=32)
@@ -590,13 +586,6 @@ def reflection_swaps(n: int) -> Mapping[Root, tuple[tuple[int, int], ...]]:
         else:
             table[alpha] = ((i, m + 1 - i),)
     return MappingProxyType(table)
-
-
-def _build_reflection_window(swaps, n: int) -> tuple[int, ...]:
-    w = list(range(1, 2 * n + 1))
-    for a, b in swaps:
-        w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
-    return tuple(w)
 
 
 def root_image(w: WeylElem, alpha: Root) -> tuple[Root, int]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zipcone
-from zipcone.cli import _parse_char, run
+from zipcone.cli import LIMITS, _parse_char, run
 from zipcone.weylroot import Character, RatCharacter
 
 
@@ -34,6 +34,10 @@ def test_weyl_canonical(capsys):
     data = json.loads(out)
     assert data["canonical"]["wmax"] == "3 4 1 2"
     assert data["canonical"]["z"] == "3 4 1 2"
+    # at its limit every window is still built and printed
+    n = LIMITS["weyl", "--n", "--canonical"][1]
+    code, out, _ = invoke(capsys, "weyl", "--n", str(n), "--canonical", "--json")
+    assert code == 0 and json.loads(out)["canonical"]["w0"] == w0(n)
 
 
 def test_weyl_act_and_inverse(capsys):
@@ -262,19 +266,22 @@ def test_cones_that_need_p_refuse_without_it(capsys, argv, message):
     assert err.splitlines()[0] == f"error: {message}"
 
 
-def test_sweep_refuses_rank_below_one(capsys):
-    for suite, ranks, bad in (("gamma", "0", "0"), ("bruhat", "2,-1", "-1")):
-        assert_refused(
-            capsys,
-            ["sweep", "--suite", suite, "--n", ranks],
-            f"--n must be at least 1, got {bad}",
-        )
-
-
 def test_sweep_refuses_empty_rank_list(capsys):
     assert_refused(
         capsys, ["sweep", "--suite", "gamma", "--n", ","], "--n needs at least one rank"
     )
+
+
+def test_sweep_refuses_rank_below_one(capsys):
+    for scope, ranks, bad in (
+        ("--suite gamma", "0", "0"),
+        ("--suite bruhat --samples 0", "2,-1", "-1"),
+    ):
+        assert_refused(
+            capsys,
+            ["sweep", *scope.split()[:2], "--n", ranks],
+            f"sweep {scope}: --n must be at least 1, got {bad}",
+        )
 
 
 def test_sweep_refuses_jobs_below_one(capsys):
@@ -282,7 +289,7 @@ def test_sweep_refuses_jobs_below_one(capsys):
         assert_refused(
             capsys,
             ["sweep", "--suite", "gamma", "--n", "2", "--jobs", jobs],
-            f"--jobs must be at least 1, got {jobs}",
+            f"sweep: --jobs must be at least 1, got {jobs}",
         )
 
 
@@ -290,20 +297,55 @@ def test_sweep_refuses_negative_samples(capsys):
     assert_refused(
         capsys,
         ["sweep", "--suite", "bruhat", "--n", "2", "--samples", "-1"],
-        "--samples must be at least 0, got -1",
+        "sweep: --samples must be at least 0, got -1",
     )
     assert_refused(
         capsys,
         ["sweep", "--suite", "lmin-oracle", "--n", "2", "--p", "3", "--samples", "-1"],
-        "--samples must be at least 0, got -1",
+        "sweep: --samples must be at least 0, got -1",
     )
 
 
-def test_sweep_refuses_redundancy_below_rank_two(capsys):
+def test_sweep_refuses_gamma_above_rank_limit(capsys, monkeypatch):
+    import zipcone.cli
+
+    limit = LIMITS["sweep", "--n", "--suite gamma"][1]
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a refused rank must sweep nothing")
+
+    monkeypatch.setattr(zipcone.cli, "gamma_suite", no_sweep)
     assert_refused(
         capsys,
-        ["sweep", "--suite", "redundancy", "--n", "1", "--p", "3"],
-        "--suite redundancy needs --n at least 2",
+        ["sweep", "--suite", "gamma", "--n", f"2,{limit + 1}"],
+        f"sweep --suite gamma: --n must be at most {limit}, got {limit + 1}",
+    )
+    with pytest.raises(AssertionError, match="sweep nothing"):
+        run(["sweep", "--suite", "gamma", "--n", str(limit), "--jobs", "2"])
+
+
+def test_sweep_refuses_samples_above_limit(capsys):
+    limit = LIMITS["sweep", "--samples", None][1]
+    assert_refused(
+        capsys,
+        ["sweep", "--suite", "bruhat", "--n", "3", "--samples", str(limit + 1)],
+        f"sweep: --samples must be at most {limit}, got {limit + 1}",
+    )
+
+
+def test_sweep_refuses_jobs_above_limit_before_any_pool(capsys, monkeypatch):
+    import multiprocessing
+
+    limit = LIMITS["sweep", "--jobs", None][1]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a refused --jobs must start no worker pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert_refused(
+        capsys,
+        ["sweep", "--suite", "gamma", "--n", "6", "--jobs", str(limit + 1)],
+        f"sweep: --jobs must be at most {limit}, got {limit + 1}",
     )
 
 
@@ -316,206 +358,145 @@ def test_sweep_with_zero_total_is_not_ok():
     assert SweepResult("bruhat", {"n": 2}, 3, 3, (), ()).ok
 
 
-def test_sweep_refuses_gamma_above_rank_limit(capsys, monkeypatch):
-    import zipcone.cli
-    from zipcone.cli import MAX_GAMMA_RANK
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a refused rank must sweep nothing")
-
-    monkeypatch.setattr(zipcone.cli, "gamma_suite", no_sweep)
-    assert_refused(
-        capsys,
-        ["sweep", "--suite", "gamma", "--n", "2,8"],
-        f"--n must be at most {MAX_GAMMA_RANK} for --suite gamma, got 8",
-    )
-    with pytest.raises(AssertionError, match="sweep nothing"):
-        run(["sweep", "--suite", "gamma", "--n", "7", "--jobs", "2"])
+def w0(n: int) -> str:
+    return " ".join(map(str, range(2 * n, 0, -1)))
 
 
-def test_sweep_refuses_sampled_bruhat_above_rank_limit(capsys):
-    from zipcone.cli import MAX_BRUHAT_RANK
-
-    bad = MAX_BRUHAT_RANK + 1
-    assert_refused(
-        capsys,
-        ["sweep", "--suite", "bruhat", "--n", str(bad), "--samples", "1000"],
-        f"--n must be at most {MAX_BRUHAT_RANK} for --suite bruhat, got {bad}",
-    )
+def identity(n: int) -> str:
+    return " ".join(map(str, range(1, 2 * n + 1)))
 
 
-def test_sweep_refuses_exhaustive_bruhat_above_rank_limit(capsys):
-    from zipcone.cli import MAX_BRUHAT_EXHAUSTIVE_RANK
-
-    bad = MAX_BRUHAT_EXHAUSTIVE_RANK + 1
-    assert_refused(
-        capsys,
-        ["sweep", "--suite", "bruhat", "--n", str(bad)],
-        f"--n must be at most {MAX_BRUHAT_EXHAUSTIVE_RANK} for --suite bruhat "
-        f"without --samples, got {bad}",
-    )
+def char(n: int, entry: str = "-1") -> str:
+    return ",".join([entry] * n) + "|0"
 
 
-def test_sweep_refuses_subset_enumeration_above_rank_limit(capsys):
-    from zipcone.cones import MAX_ENUMERATED_RANK
-
-    for suite in ("lmin-oracle", "redundancy"):
-        assert_refused(
-            capsys,
-            ["sweep", "--suite", suite, "--n", "8", "--p", "3"],
-            f"--n must be at most {MAX_ENUMERATED_RANK} for --suite {suite}, got 8",
+# Each `LIMITS` row: the argv that carries a value v, and the work an
+# accepted v reaches first (`zipcone.cli` names unless dotted, each patched
+# to fail).  A list option carries v second, after an accepted value.
+# Every cone-check row patches every cone build and membership test.
+CONE_WORK = "_cone gs_member pha_wmax_member pha_w_member"
+LIMIT_CASES = {
+    ("weyl", "--n", "--canonical"): (lambda v: ["weyl", "--n", str(v), "--canonical"], "canonical_elements"),
+    ("weyl", "--elem", None): (lambda v: ["weyl", "--elem", w0(v)], "zipcone.weylroot.WeylElem.length"),
+    ("neighbors", "--elem", None): (lambda v: ["neighbors", "--elem", w0(v), "--json"], "classed_pairs"),
+    ("path", "--n", None): (lambda v: ["path", "--n", str(v), "--p", "5"], "verify_path_lemmas"),
+    ("cone-check", "--lambda", "--cone gs"): (
+        lambda v: ["cone-check", "--cone", "gs", f"--lambda={char(v)}"], CONE_WORK
+    ),
+    ("cone-check", "--lambda", "--cone pha-wmax"): (
+        lambda v: ["cone-check", "--cone", "pha-wmax", f"--lambda={char(v)}"], CONE_WORK
+    ),
+    ("cone-check", "--lambda", "--cone pha"): (
+        lambda v: ["cone-check", "--cone", "pha", "--p", "5", "--elem", w0(v), f"--lambda={char(v)}"],
+        CONE_WORK,
+    ),
+    ("cone-check", "--p", None): (
+        lambda v: ["cone-check", "--cone", "lmin", "--p", str(v), "--lambda=1,0|0"], "lmin_member"
+    ),
+    **{
+        ("farkas", "--target", f"--cone {cone}"): (
+            lambda v, cone=cone: ["farkas", "--cone", cone, "--p", "5", f"--target={char(v, '1')}", "--json"],
+            "_cone",
         )
+        for cone in ("gs", "pha-wmax", "lmin-i")
+    },
+    ("verify-theorem", "--n", None): (
+        lambda v: ["verify-theorem", "--n", str(v), "--p", "5", "--json"], "envelope_certificate"
+    ),
+    ("enum-iw", "--n", None): (lambda v: ["enum-iw", "--n", str(v)], "enum_IW"),
+    ("bruhat", "--elem", None): (lambda v: ["bruhat", "--elem", w0(v), "--elem2", w0(v)], "bruhat_leq"),
+    ("bruhat", "--elem", "--preceq"): (
+        lambda v: ["bruhat", "--elem", identity(v), "--elem2", identity(v), "--preceq"], "bruhat_leq"
+    ),
+    ("sweep", "--n", "--suite gamma"): (lambda v: ["sweep", "--suite", "gamma", "--n", f"2,{v}"], "gamma_suite"),
+    ("sweep", "--n", "--suite bruhat"): (
+        lambda v: ["sweep", "--suite", "bruhat", "--n", f"2,{v}", "--samples", "1000"], "bruhat_suite"
+    ),
+    ("sweep", "--n", "--suite bruhat --samples 0"): (
+        lambda v: ["sweep", "--suite", "bruhat", "--n", f"2,{v}"], "bruhat_suite"
+    ),
+    ("sweep", "--n", "--suite lmin-oracle"): (
+        lambda v: ["sweep", "--suite", "lmin-oracle", "--n", f"2,{v}", "--p", "3"], "lmin_oracle_suite"
+    ),
+    ("sweep", "--n", "--suite redundancy"): (
+        lambda v: ["sweep", "--suite", "redundancy", "--n", f"2,{v}", "--p", "3"], "redundancy_suite"
+    ),
+    # the rank and the first p alone would run a 2 s suite before the refusal
+    ("sweep", "--p", None): (
+        lambda v: ["sweep", "--suite", "lmin-oracle", "--n", "5", "--p", f"3,{v}", "--samples", "300"],
+        "lmin_oracle_suite",
+    ),
+    ("sweep", "--samples", None): (
+        lambda v: ["sweep", "--suite", "bruhat", "--n", "3", "--samples", str(v)], "bruhat_suite"
+    ),
+    ("sweep", "--jobs", None): (
+        lambda v: ["sweep", "--suite", "gamma", "--n", "6", "--jobs", str(v)],
+        "gamma_suite multiprocessing.Pool",
+    ),
+}
 
 
-def test_enum_iw_refuses_rank_above_limit(capsys):
-    from zipcone.cli import MAX_ENUM_IW_RANK
-
-    assert_refused(
-        capsys, ["enum-iw", "--n", "40"], f"--n must be at most {MAX_ENUM_IW_RANK}, got 40"
-    )
+class Reached(Exception):
+    pass
 
 
-def test_sweep_refuses_samples_above_limit(capsys):
-    from zipcone.cli import MAX_SAMPLES
-
-    assert_refused(
-        capsys,
-        ["sweep", "--suite", "bruhat", "--n", "3", "--samples", str(MAX_SAMPLES + 1)],
-        f"--samples must be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}",
-    )
+def test_every_limit_has_a_case():
+    assert list(LIMIT_CASES) == list(LIMITS)
 
 
-def test_sweep_refuses_jobs_above_limit_before_any_pool(capsys, monkeypatch):
-    import multiprocessing
-
-    from zipcone.cli import MAX_JOBS
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a refused --jobs must start no worker pool")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    assert_refused(
-        capsys,
-        ["sweep", "--suite", "gamma", "--n", "6", "--jobs", str(MAX_JOBS + 1)],
-        f"--jobs must be at most {MAX_JOBS}, got {MAX_JOBS + 1}",
-    )
+def limit_id(key) -> str:
+    verb, option, scope = key
+    return " ".join(filter(None, (verb, scope, option)))
 
 
-def test_path_refuses_rank_above_limit_before_any_check(capsys, monkeypatch):
-    import zipcone.cli
-    from zipcone.cli import MAX_PATH_RANK
+@pytest.mark.parametrize("key", LIMIT_CASES, ids=limit_id)
+def test_limit_row(capsys, monkeypatch, key):
+    """Each bound of a `LIMITS` row reaches the work; one past it exits 2
+    with empty stdout, the one message and no traceback, before the work."""
+    argv, works = LIMIT_CASES[key]
 
-    def no_check(*args, **kwargs):
-        raise AssertionError("a refused --n must check no path")
+    def reached(*args, **kwargs):
+        raise Reached
 
-    monkeypatch.setattr(zipcone.cli, "verify_path_lemmas", no_check)
-    assert_refused(
-        capsys,
-        ["path", "--n", str(MAX_PATH_RANK + 1), "--p", "5"],
-        f"--n must be at most {MAX_PATH_RANK}, got {MAX_PATH_RANK + 1}",
-    )
-
-
-def test_verify_theorem_refuses_rank_above_limit_before_any_build(capsys, monkeypatch):
-    import zipcone.cli
-    from zipcone.cli import MAX_CERT_RANK
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("a refused --n must build no certificate")
-
-    monkeypatch.setattr(zipcone.cli, "envelope_certificate", no_build)
-    assert_refused(
-        capsys,
-        ["verify-theorem", "--n", str(MAX_CERT_RANK + 1), "--p", "5", "--json"],
-        f"--n must be at most {MAX_CERT_RANK}, got {MAX_CERT_RANK + 1}",
-    )
-    # positive control: an accepted rank reaches the build
-    with pytest.raises(AssertionError, match="no certificate"):
-        run(["verify-theorem", "--n", str(MAX_CERT_RANK), "--p", "5"])
+    for work in works.split():
+        monkeypatch.setattr(work if "." in work else f"zipcone.cli.{work}", reached)
+    verb, option, scope = key
+    where = f"{verb} {scope}" if scope else verb
+    what = f"the rank of {option}" if option in ("--elem", "--lambda", "--target") else option
+    lo, hi = LIMITS[key]
+    for bound, past, side in ((lo, -1, "at least"), (hi, 1, "at most")):
+        if bound is None:
+            continue
+        with pytest.raises(Reached):
+            run(argv(bound))
+        code, out, err = invoke(capsys, *argv(bound + past))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"error: {where}: {what} must be {side} {bound}, got {bound + past}"
+        assert "Traceback" not in err
 
 
-def test_bruhat_refuses_preceq_above_rank_limit(capsys, monkeypatch):
-    import zipcone.cli
-    from zipcone.cli import MAX_PRECEQ_RANK
+def test_bruhat_refuses_a_rank_mismatch_before_reading_either_window(capsys, monkeypatch):
+    """With --preceq only --elem has a row; an --elem2 of another rank is
+    refused before `is_min_rep` reads it, which is O(n^3) at its rank."""
 
-    def no_preceq(*args, **kwargs):
-        raise AssertionError("a refused --preceq must compare nothing")
+    def reached(*args, **kwargs):
+        raise Reached
 
-    monkeypatch.setattr(zipcone.cli, "preceq", no_preceq)
-    bad = MAX_PRECEQ_RANK + 1
-    ident = " ".join(map(str, range(1, 2 * bad + 1)))
-    assert_refused(
-        capsys,
-        ["bruhat", "--elem", ident, "--elem2", ident, "--preceq"],
-        f"--preceq needs rank at most {MAX_PRECEQ_RANK}, got {bad}",
-    )
+    monkeypatch.setattr("zipcone.cli.is_min_rep", reached)
+    code, out, err = invoke(capsys, "bruhat", "--elem", "1 2", "--elem2", identity(3000), "--preceq")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: rank mismatch: 1 vs 3000"
+    assert "Traceback" not in err
 
 
-def _refuse_cone_above(capsys, monkeypatch, cone, limit, extra=lambda n: []):
-    """cone-check --cone CONE one rank above its limit exits 2 before any
-    membership is tested or any weight map solved; at the limit it gets
-    there."""
-    import zipcone.cli
-
-    def no_cone(*args, **kwargs):
-        raise AssertionError("a refused --cone must build nothing")
-
-    for work in ("_cone", "gs_member", "pha_wmax_member", "pha_w_member"):
-        monkeypatch.setattr(zipcone.cli, work, no_cone)
-
-    def argv(n):
-        lam = ",".join(["-1"] * n) + "|0"
-        return ["cone-check", "--cone", cone, f"--lambda={lam}", *extra(n)]
-
-    assert_refused(
-        capsys, argv(limit + 1), f"--cone {cone} needs rank at most {limit}, got {limit + 1}"
-    )
-    with pytest.raises(AssertionError, match="build nothing"):
-        run(argv(limit))
-
-
-def test_cone_check_refuses_gs_above_rank_limit(capsys, monkeypatch):
-    from zipcone.cli import MAX_GS_RANK
-
-    _refuse_cone_above(capsys, monkeypatch, "gs", MAX_GS_RANK)
-
-
-def test_cone_check_refuses_pha_wmax_above_rank_limit(capsys, monkeypatch):
-    from zipcone.cli import MAX_PHA_WMAX_RANK
-
-    _refuse_cone_above(capsys, monkeypatch, "pha-wmax", MAX_PHA_WMAX_RANK)
-
-
-def test_cone_check_refuses_pha_above_rank_limit(capsys, monkeypatch):
-    from zipcone.cli import MAX_PHA_RANK
-
-    def w0(n):
-        return ["--p", "5", "--elem", " ".join(map(str, range(2 * n, 0, -1)))]
-
-    _refuse_cone_above(capsys, monkeypatch, "pha", MAX_PHA_RANK, w0)
-
-
-def test_weyl_refuses_canonical_above_rank_limit(capsys, monkeypatch):
-    """At the limit the four windows are printed; one rank above it the
-    CLI exits 2 before building any of them."""
-    import zipcone.cli
-    from zipcone.cli import MAX_CANONICAL_RANK
-
-    code, out, _ = invoke(capsys, "weyl", "--n", str(MAX_CANONICAL_RANK), "--canonical", "--json")
-    assert code == 0
-    w0 = " ".join(map(str, range(2 * MAX_CANONICAL_RANK, 0, -1)))
-    assert json.loads(out)["canonical"]["w0"] == w0
-
-    def no_windows(*args, **kwargs):
-        raise AssertionError("a refused --canonical must build no window")
-
-    monkeypatch.setattr(zipcone.cli, "canonical_elements", no_windows)
-    bad = MAX_CANONICAL_RANK + 1
-    assert_refused(
-        capsys,
-        ["weyl", "--n", str(bad), "--canonical"],
-        f"--canonical needs rank at most {MAX_CANONICAL_RANK}, got {bad}",
-    )
+def test_readme_limits_table_is_the_limits_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| input | min | max | why |\n|---|---|---|---|\n")[1].split("\n\n")[0]
+    rows = [line.split(" | ")[:3] for line in table.splitlines()]
+    assert rows == [
+        [f"| `{limit_id(key)}`", *("-" if b is None else str(b) for b in bounds)]
+        for key, bounds in LIMITS.items()
+    ]
 
 
 def test_closed_stdout_prints_no_traceback():
@@ -581,9 +562,12 @@ def test_path_report_reuses_the_certificate_path(capsys, monkeypatch):
     assert json.loads(out)["path_report"] == json.loads(walked)
 
 
-def test_limits_accept_benchmark_and_readme_inputs():
-    from zipcone.cli import _build_parser, _check_sweep_args, _int_list
+def test_limits_accept_benchmark_and_readme_inputs(monkeypatch):
+    def reached(*args, **kwargs):
+        raise Reached
 
+    for suite in ("gamma_suite", "bruhat_suite", "lmin_oracle_suite", "redundancy_suite"):
+        monkeypatch.setattr(f"zipcone.cli.{suite}", reached)
     for argv in (
         ["sweep", "--suite", "gamma", "--n", "5", "--jobs", "1", "--json"],
         ["sweep", "--suite", "bruhat", "--n", "5", "--samples", "20000", "--seed", "3"],
@@ -591,8 +575,8 @@ def test_limits_accept_benchmark_and_readme_inputs():
         ["sweep", "--suite", "lmin-oracle", "--n", "4", "--p", "3", "--samples", "1000"],
         ["sweep", "--suite", "redundancy", "--n", "3", "--p", "2,3,5", "--samples", "200"],
     ):
-        args = _build_parser().parse_args(argv)
-        _check_sweep_args(args, _int_list(args.n))
+        with pytest.raises(Reached):
+            run(argv)
 
 
 def test_cone_check_refuses_n_that_differs_from_lambda(capsys):
@@ -901,45 +885,6 @@ def test_cli_cone_cache_leaves_direct_construction_checked(capsys, monkeypatch):
     )
     with pytest.raises(AssertionError):
         cones.pha_wmax_cone(3)
-
-
-def test_neighbors_refuses_rank_above_limit_before_any_scan(capsys, monkeypatch):
-    import zipcone.cli
-    from zipcone.cli import MAX_NEIGHBORS_RANK
-
-    def no_scan(*args, **kwargs):
-        raise AssertionError("a refused window must be scanned by nothing")
-
-    monkeypatch.setattr(zipcone.cli, "classed_pairs", no_scan)
-
-    def w0(n):
-        return " ".join(map(str, range(2 * n, 0, -1)))
-
-    bad = MAX_NEIGHBORS_RANK + 1
-    assert_refused(
-        capsys, ["neighbors", "--elem", w0(bad), "--json"], f"neighbors needs rank at most {MAX_NEIGHBORS_RANK}, got {bad}"
-    )
-    with pytest.raises(AssertionError, match="scanned by nothing"):
-        run(["neighbors", "--elem", w0(MAX_NEIGHBORS_RANK), "--json"])
-
-
-@pytest.mark.parametrize("cone", ["gs", "pha-wmax", "lmin-i"])
-def test_farkas_refuses_named_cones_above_rank_limit_before_any_build(capsys, monkeypatch, cone):
-    import zipcone.cli
-    from zipcone.cli import MAX_FARKAS_RANK
-
-    def no_cone(*args, **kwargs):
-        raise AssertionError("a refused --cone must build nothing")
-
-    monkeypatch.setattr(zipcone.cli, "_cone", no_cone)
-    limit = MAX_FARKAS_RANK[cone]
-
-    def argv(n):
-        return ["farkas", "--cone", cone, "--p", "5", f"--target={','.join(['1'] * n)}|0", "--json"]
-
-    assert_refused(capsys, argv(limit + 1), f"farkas --cone {cone} needs rank at most {limit}, got {limit + 1}")
-    with pytest.raises(AssertionError, match="build nothing"):
-        run(argv(limit))
 
 
 SMALL_VERBS = [

@@ -13,7 +13,7 @@ from zipcone.weylroot import (
     positive_roots,
     random_element,
     reflection_swaps,
-    reflection_windows,
+    reflection_window,
     weyl_elements,
     weyl_windows,
 )
@@ -37,9 +37,8 @@ def test_pure_python_basics():
 
 def assert_length_change_matches(win, n):
     lw = kernels.length(win)
-    windows = reflection_windows(n)
     for alpha, swaps in reflection_swaps(n).items():
-        ws = kernels.compose(win, windows[alpha])
+        ws = kernels.compose(win, reflection_window(alpha, n))
         assert kernels.length_change(win, swaps) == kernels.length(ws) - lw, (win, alpha)
 
 
@@ -238,6 +237,6 @@ def test_bruhat_leq_matches_rank_matrix_sampled(n, seed):
     rng = random.Random(seed)
     u = random_element(n, rng).window
     v = random_element(n, rng).window
-    us = kernels.compose(u, reflection_windows(n)[rng.choice(positive_roots(n))])
+    us = kernels.compose(u, reflection_window(rng.choice(positive_roots(n)), n))
     for w1, w2 in ((u, v), (v, u), (u, u), (us, u), (u, us)):
         assert kernels.bruhat_leq(w1, w2) == bruhat_leq_by_rank_matrix(w1, w2), (w1, w2)

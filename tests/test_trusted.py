@@ -33,8 +33,8 @@ from zipcone.weylroot import (
     positive_roots,
     random_element,
     reflection,
+    reflection_swaps,
     reflection_window,
-    reflection_windows,
     weyl_elements,
 )
 
@@ -71,16 +71,13 @@ def test_trusted_generators_pass_full_validation(n):
         assert_valid(anchor_element(n, d))
 
 
-def test_reflection_windows_are_built_once_per_rank():
-    table = reflection_windows(4)
-    assert list(table) == positive_roots(4)
-    assert reflection_windows(4) is table
-    with pytest.raises(TypeError):
-        table[positive_roots(4)[0]] = (1, 2, 3, 4, 5, 6, 7, 8)
-    alpha = positive_roots(4)[3]
-    win = reflection_window(alpha, 4)
-    assert type(win) is tuple and win is table[alpha]
-    assert reflection(alpha, 4).window is win
+def test_reflection_window_is_the_identity_with_its_swaps():
+    for alpha, swaps in reflection_swaps(4).items():
+        win = reflection_window(alpha, 4)
+        assert type(win) is tuple and reflection(alpha, 4).window == win
+        moved = {a for pair in swaps for a in pair}
+        assert all(win[k - 1] == k for k in range(1, 9) if k not in moved)
+        assert all((win[a - 1], win[b - 1]) == (b, a) for a, b in swaps)
     with pytest.raises(ValueError, match="does not fit rank"):
         reflection_window(positive_roots(4)[-1], 3)
 
