@@ -18,33 +18,25 @@ from .weylroot import (
     act,
     canonical_elements,
     compose,
-    is_I_dominant,
     levi_positive_roots,
     non_levi_positive_roots,
     pairing,
     positive_roots,
     reflection,
-    simple_roots,
-    weyl_elements,
 )
 from .bruhat import (
-    AdmissiblePair,
     NeighborSet,
     PairClass,
-    admissible_pairs,
     bruhat_leq,
     enum_IW,
-    gamma,
     is_min_rep,
     is_separating,
     lower_neighbors,
     lower_neighbors_oracle,
     preceq,
-    rank_matrix,
     stratum_dim,
 )
 from .hasse import (
-    HasseMap,
     PathReport,
     PathStep,
     StepReport,
@@ -52,7 +44,6 @@ from .hasse import (
     check_path_steps,
     descent_path,
     ha_closed_form,
-    hasse_map,
     verify_path_lemmas,
 )
 from .cones import (
@@ -68,6 +59,6 @@ from .cones import (
     pha_w_member,
     pha_wmax_cone,
 )
-from .certify import Certificate, EnvelopeCheck, envelope_certificate
+from .certify import Certificate, envelope_certificate
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from .weylroot import (
     non_levi_positive_roots,
     reflection,
     root_index,
-    root_table,
 )
 
 
@@ -52,14 +51,6 @@ class AdmissiblePair(Record):
 
     def __init__(self, i: int, j: int, cls: PairClass):
         vars(self).update(i=i, j=j, cls=cls)
-
-
-def rank_matrix(w: WeylElem, i: int, j: int) -> int:
-    """r_w(i, j) = #{k <= i : w(k) <= j}."""
-    m = 2 * w.n
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise ValueError(f"indices ({i}, {j}) out of range 1..{m}")
-    return kernels.rank_entry(w.window, i, j)
 
 
 def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
@@ -144,14 +135,6 @@ def neighbor_roots(pairs) -> list[Root]:
     return [Root(*root) for root in sorted({root for _, _, root in pairs if root is not None})]
 
 
-def gamma(pair: AdmissiblePair, w: WeylElem) -> Root:
-    """The positive root attached to a classed admissible pair."""
-    root = None if pair.cls is PairClass.OTHER else pair_root(w.n, pair.i, pair.j, w(pair.i) <= w.n)
-    if root is None:
-        raise ValueError(f"pair ({pair.i}, {pair.j}) is in no E-class")
-    return Root(*root)
-
-
 def mask_bits(mask: int) -> list[int]:
     """The indices of the set bits of a mask, in increasing order."""
     out = []
@@ -160,12 +143,6 @@ def mask_bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def mask_roots(n: int, mask: int) -> frozenset[Root]:
-    """The roots of a rank-n root bitmask."""
-    table = root_table(n)
-    return frozenset([table[k] for k in mask_bits(mask)])
 
 
 class NeighborSet(Record):
@@ -177,10 +154,6 @@ class NeighborSet(Record):
 
     def __init__(self, owner: WeylElem, mask: int):
         vars(self).update(owner=owner, mask=mask)
-
-    @functools.cached_property
-    def roots(self) -> frozenset[Root]:
-        return mask_roots(self.owner.n, self.mask)
 
 
 def lower_neighbor_mask(window) -> int:

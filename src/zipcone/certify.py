@@ -36,7 +36,7 @@ from .cones import (
     support,
 )
 from .hasse import PathReport, PathStep, _Fragments, _json_list, descent_path
-from .weylroot import Character, Record, Root, WeylElem
+from .weylroot import Character, Record
 
 
 class EnvelopeCheck(Record):
@@ -134,10 +134,6 @@ class Certificate(Record):
             "checks": [c.to_json_dict() for c in self.checks],
         }
 
-    def to_json(self, path_report: PathReport | None = None) -> str:
-        """The blocks of `iter_json`, joined, for a caller that wants one string."""
-        return "".join(self.iter_json(path_report))
-
     def iter_json(self, path_report: PathReport | None = None) -> Iterator[str]:
         """The text of `json.dumps(payload, indent=2, sort_keys=True)` in
         blocks, where the payload is `to_json_dict()` plus
@@ -187,39 +183,6 @@ class Certificate(Record):
             yield ',\n  "path_report": '
             yield from path_report.iter_json(1)
         yield f',\n  "verdict": {json.dumps(self.verdict)}\n}}'
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Certificate":
-        path = tuple(
-            PathStep(
-                d=int(s["d"]),
-                i=int(s["i"]),
-                w=WeylElem.parse(s["window"]),
-                beta=Root.parse(s["beta"]),
-                chi=Character.parse(s["chi"]),
-                ha=Character.parse(s["ha"]),
-                ha_closed_form=Character.parse(s["ha_closed_form"]),
-                first_term_relation=s["first_term_relation"],
-            )
-            for s in data["path"]
-        )
-        ledger = tuple(
-            (
-                c["label"],
-                tuple(int(x) for x in c["functional"]),
-                Character.parse(c["generator"]) if c.get("generator") else None,
-                Fraction(c["value"]) if "value" in c else None,
-                tuple(Fraction(m) for m in c["multipliers"]) if "multipliers" in c else None,
-                bool(c["ok"]),
-            )
-            for c in data["checks"]
-        )
-        return cls(
-            int(data["n"]), int(data["p"]), path,
-            tuple(Character.parse(g) for g in data["base_generators"]),
-            tuple(Character.parse(h) for h in data["ha_weights"]),
-            ledger, data["verdict"],
-        )
 
 
 def _tail(key: tuple) -> str:

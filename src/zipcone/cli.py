@@ -68,20 +68,26 @@ from .weylroot import (
 # before any work starts.  In the exponential rows (sweeps, enum-iw,
 # --preceq) the work at least doubles with every rank; every other rank
 # limit is the largest rank measured within the times of README's limits
-# table, which lists these rows in this order.
+# table, which lists these rows in this order.  Every verb that takes --p
+# takes it up to P_MAX: the certificate's text grows with the digits of p,
+# and at P_MAX `verify-theorem --n 64` prints 1.64 times its p = 5 size.
+P_MAX = 10**18
 LIMITS = {
     ("weyl", "--n", "--canonical"): (None, 300),  # prints four 2n-entry windows
     ("weyl", "--elem", None): (None, 5000),  # O(n^2) length
     ("neighbors", "--elem", None): (None, 1000),
     ("path", "--n", None): (None, 128),
+    ("path", "--p", None): (2, P_MAX),
     ("cone-check", "--lambda", "--cone gs"): (None, 4096),
     ("cone-check", "--lambda", "--cone pha-wmax"): (None, 4096),
     ("cone-check", "--lambda", "--cone pha"): (None, 1000),
-    ("cone-check", "--p", None): (2, None),
+    ("cone-check", "--p", None): (2, P_MAX),
     ("farkas", "--target", "--cone gs"): (None, 10),
     ("farkas", "--target", "--cone pha-wmax"): (None, 224),
     ("farkas", "--target", "--cone lmin-i"): (None, 16),
+    ("farkas", "--p", None): (2, P_MAX),
     ("verify-theorem", "--n", None): (None, 64),
+    ("verify-theorem", "--p", None): (2, P_MAX),
     ("enum-iw", "--n", None): (None, 16),  # 2^n representatives
     ("bruhat", "--elem", None): (None, 3500),  # O(n^2) comparisons and lengths
     ("bruhat", "--elem", "--preceq"): (None, 9),  # all n! Levi elements
@@ -90,7 +96,7 @@ LIMITS = {
     ("sweep", "--n", "--suite bruhat --samples 0"): (1, 4),  # every pair of elements
     ("sweep", "--n", "--suite lmin-oracle"): (1, MAX_ENUMERATED_RANK),
     ("sweep", "--n", "--suite redundancy"): (2, MAX_ENUMERATED_RANK),  # its claim needs rank 2
-    ("sweep", "--p", None): (2, None),
+    ("sweep", "--p", None): (2, P_MAX),
     ("sweep", "--samples", None): (0, 100_000),
     ("sweep", "--jobs", None): (1, 32),  # worker processes of one Pool
 }
@@ -317,6 +323,7 @@ def _cmd_neighbors(args) -> int:
 
 def _cmd_path(args) -> int:
     _check_limit("path", "--n", args.n)
+    _check_limit("path", "--p", args.p)
     report = verify_path_lemmas(args.n, args.p)
     if args.json:
         for block in report.iter_json():
@@ -382,6 +389,8 @@ def _cmd_farkas(args) -> int:
         raise UsageError("target functional must have integer coefficients")
     _check_rank_flag(args.n, target, "--target")
     n = target.n
+    if args.p is not None:
+        _check_limit("farkas", "--p", args.p)
     if args.cone == "n3":
         p = _require_p(args)
         if n != 3:
@@ -410,6 +419,7 @@ def _out_error(path: str, exc: OSError) -> ValueError:
 
 def _cmd_verify_theorem(args) -> int:
     _check_limit("verify-theorem", "--n", args.n)
+    _check_limit("verify-theorem", "--p", args.p)
     if args.out:
         # refuse a path that cannot be written before the build, not after it;
         # the probe leaves no trace: append mode keeps an existing file as it

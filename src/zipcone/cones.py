@@ -185,23 +185,17 @@ def orbit_subset_functional(orbit: Sequence[Root], subset: Iterable[Root], n: in
     return tuple(row) + (0,)
 
 
-def worst_subset(orbit: Sequence[Root], lam) -> list[Root]:
-    """The subset maximizing the mixed sum: exactly the roots pairing
-    negatively with lam (coefficient 1 beats 1/p exactly on positives)."""
-    return [alpha for alpha in orbit if pairing(lam, alpha) < 0]
-
-
 def orbit_worst_rows(a: Sequence[int], p: int) -> list[IntRow]:
     """The worst-subset functionals of the long orbit and, from rank 2, of
     the sum orbit at a character with entries a, read off the entries.
 
     Each root of an orbit takes coefficient 1 when it pairs negatively with
-    a and p otherwise, as orbit_subset_functional(orbit, worst_subset(orbit,
-    a), n, p) does root by root.  The long root 2e_k pairs to a_k and has
-    coroot e_k, so the long row's coefficient on a_k is 1 if a_k < 0 else
-    p; dotted with a it is the long-orbit sum that lmin_member tests.  The
-    sum root e_k + e_j pairs to a_k + a_j and has coroot e_k + e_j, so the
-    sum row's coefficient on a_k is the sum over j != k of
+    a and p otherwise, as orbit_subset_functional does root by root for
+    the subset of roots pairing negatively.  The long root 2e_k pairs to
+    a_k and has coroot e_k, so the long row's coefficient on a_k is 1 if
+    a_k < 0 else p; dotted with a it is the long-orbit sum that lmin_member
+    tests.  The sum root e_k + e_j pairs to a_k + a_j and has coroot
+    e_k + e_j, so the sum row's coefficient on a_k is the sum over j != k of
     (1 if a_k + a_j < 0 else p), that is c_k + p * (n - 1 - c_k) with
     c_k = #{j != k : a_j < -a_k}.  Bisecting the sorted entries at -a_k
     counts #{j : a_j < -a_k}, which includes j = k exactly when a_k < -a_k,
@@ -232,8 +226,8 @@ def lmin_member(lam: AnyCharacter, p: int) -> bool:
     so  sum_{i<j} f(a_i + a_j) <= sum_{i<j} (f(a_i) + f(a_j))
     = (n - 1) * sum_i f(a_i).  A character whose long-orbit worst value is
     <= 0 therefore passes the sum orbit too, and only the long orbit is read.
-    worst_subset is the root-level reference and lmin_member_enumerated the
-    2^|orbit| oracle over both orbits, independent of the lemma.
+    lmin_member_enumerated is the 2^|orbit| oracle over both orbits,
+    independent of the lemma.
     """
     _check_p(p)
     return sum(t if t < 0 else p * t for t in lam.a) <= 0
@@ -371,9 +365,9 @@ class FarkasCertificate(Record):
                 raise ValueError("one multiplier per system row required")
             if any(m < 0 for m in self.multipliers):
                 raise AssertionError("multipliers must be nonnegative")
-            _, acc = self._scaled_residual()
+            scale, acc = self._scaled_residual()
             if any(acc):
-                raise AssertionError(f"nonzero residual {self.residual}")
+                raise AssertionError(f"nonzero residual {tuple(Fraction(a, scale) for a in acc)}")
         else:
             # L * witness is integral for L the lcm of its denominators, and
             # L > 0 keeps the sign of every value, so integers decide both
@@ -400,14 +394,6 @@ class FarkasCertificate(Record):
     @property
     def implied(self) -> bool:
         return self.multipliers is not None
-
-    @property
-    def residual(self) -> tuple:
-        """target minus the recombined multipliers; must vanish identically."""
-        if self.multipliers is None:
-            raise ValueError("no multipliers on a witness certificate")
-        scale, acc = self._scaled_residual()
-        return tuple(Fraction(a, scale) for a in acc)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -483,7 +469,8 @@ def weight_preimage(lam: AnyCharacter, w: WeylElem, p: int) -> RatCharacter:
     lam's denominators; so after N_0 the entries go round the cycle
     backwards by N_j = (q c_{k_j} (p^L - T) + t_{k_j} N_{j+1}) / p, each an
     exact division.  Both elements fix b, so (p - 1) chi_b = lam_b.
-    `hasse.hasse_map(w, p).inverse_apply(lam)` is the dense reference.
+    The dense reference solves the matrix `hasse.hasse_map(w, p)` with
+    `linalg.solve_square`.
     """
     n = w.n
     if lam.n != n:

@@ -23,20 +23,17 @@ import json
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-from . import kernels, linalg
+from . import kernels
 from .bruhat import (
     _coroot_edges,
     is_separating,
     lower_neighbors,
     lower_neighbors_oracle,
     mask_bits,
-    mask_roots,
 )
 from .cones import lmin_member
 from .weylroot import (
-    AnyCharacter,
     Character,
-    RatCharacter,
     Record,
     Root,
     RootKind,
@@ -71,19 +68,11 @@ class HasseMap(Record):
     def __init__(self, w: WeylElem, p: int, matrix: tuple[tuple[int, ...], ...]):
         vars(self).update(w=w, p=p, matrix=matrix)
 
-    def inverse_apply(self, lam: AnyCharacter) -> RatCharacter:
-        """Exact rational preimage."""
-        if lam.n != self.w.n:
-            raise ValueError(f"rank mismatch: {lam.n} vs {self.w.n}")
-        sol = linalg.solve_square(self.matrix, lam.vector())
-        if sol is None:
-            raise AssertionError("weight map must be invertible")
-        return RatCharacter(sol[:-1], sol[-1])
-
 
 def hasse_map(w: WeylElem, p: int) -> HasseMap:
     """Assemble the weight map column by column on the basis characters: the
-    dense reference that `cones.weight_preimage` is checked against."""
+    dense matrix whose exact solve is the reference that
+    `cones.weight_preimage` is checked against."""
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     n = w.n
@@ -92,8 +81,8 @@ def hasse_map(w: WeylElem, p: int) -> HasseMap:
     cols = []
     for k in range(1, dim + 1):
         basis = Character.unit(n, k) if k <= n else Character((0,) * n, 1)
-        img = (-1 * act(w, basis)) + p * act(wmax, basis)
-        cols.append(img.vector())
+        minus, plus = act(w, basis).vector(), act(wmax, basis).vector()
+        cols.append(tuple(p * y - x for x, y in zip(minus, plus)))
     matrix = tuple(tuple(cols[c][r] for c in range(dim)) for r in range(dim))
     return HasseMap(w, p, matrix)
 
@@ -263,49 +252,39 @@ def compare_step_weights(n: int, p: int, d: int, i: int, pipeline: Character) ->
 # closed-form neighbor sets along the path
 
 
-def eset_reference(n: int, d: int, i: int) -> frozenset[Root]:
-    """Closed-form description of E_w along the path, read uniformly: the
-    union of five families with out-of-range members dropped.
+def _reference_mask(n: int, d: int, i: int) -> int:
+    """Closed-form description of E_w at step (d, i) of the path, read
+    uniformly, as a root bitmask: the union of five families with
+    out-of-range members dropped, namely e_k - e_{d+2} (k <= i),
+    e_{d+1} - e_{d+2}, e_k - e_{d+1} (i < k <= d), e_k - e_{k+1} (d+2 <= k
+    < n) and 2e_n.
 
     For d <= n-2 this is exact.  For d = n-1 it keeps the difference tail
     {e_k - e_n : i+1 <= k <= n-1} and the long root 2e_n but omits the long
     roots 2e_k for k <= i, which direct computation shows do occur;
-    eset_verified restores them.  The set is read off `_reference_mask`.
-    """
-    return mask_roots(n, _reference_mask(n, d, i))
-
-
-def _reference_mask(n: int, d: int, i: int) -> int:
-    """`eset_reference(n, d, i)` as a root bitmask."""
+    `_restored_long_mask` restores them.  The bit of e_k - e_j is
+    `root_index(n, RootKind.DIFF, k, j)`, (k-1)(2n-k)/2 + j - k - 1,
+    written out below; 2e_n is bit n(n-1) + n - 1."""
     if not (1 <= d <= n - 1 and 0 <= i <= d - 1):
         raise ValueError(f"bad step index ({d}, {i}) for rank {n}")
-
-    def diff(k: int, j: int) -> int:
-        return 1 << root_index(n, RootKind.DIFF, k, j)
-
-    mask = 0
+    mask = 1 << (n * n - 1)
     if d + 2 <= n:
         for k in range(1, i + 1):
-            mask |= diff(k, d + 2)
-        mask |= diff(d + 1, d + 2)
+            mask |= 1 << ((k - 1) * (2 * n - k) // 2 + d + 1 - k)
+        mask |= 1 << (d * (2 * n - d - 1) // 2)
     for k in range(i + 1, d + 1):
-        mask |= diff(k, d + 1)
+        mask |= 1 << ((k - 1) * (2 * n - k) // 2 + d - k)
     for k in range(d + 2, n):
-        mask |= diff(k, k + 1)
-    return mask | 1 << root_index(n, RootKind.LONG, n)
+        mask |= 1 << ((k - 1) * (2 * n - k) // 2)
+    return mask
 
 
 def _restored_long_mask(n: int, d: int, i: int) -> int:
     """The long roots 2e_k (k <= i) that the reference set omits at d = n-1,
-    as a root bitmask: bits n(n-1) .. n(n-1) + i - 1."""
+    as a root bitmask: bits n(n-1) .. n(n-1) + i - 1.  With them the closed
+    form is the computationally verified one, and every path element has
+    exactly n lower neighbors."""
     return ((1 << i) - 1) << root_index(n, RootKind.LONG, 1) if d == n - 1 else 0
-
-
-def eset_verified(n: int, d: int, i: int) -> frozenset[Root]:
-    """The computationally verified closed form: the reference set, plus the
-    long roots 2e_k (k <= i) that appear when d = n-1.  Every path element
-    has exactly n lower neighbors."""
-    return mask_roots(n, _reference_mask(n, d, i) | _restored_long_mask(n, d, i))
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +375,6 @@ class PathReport(Record):
             "all_passed": self.all_passed,
             "reference_mismatches": [list(t) for t in self.reference_mismatches],
         }
-
-    def to_json(self) -> str:
-        """The blocks of `iter_json`, joined."""
-        return "".join(self.iter_json())
 
     def iter_json(self, depth: int = 0) -> Iterator[str]:
         """The text of `json.dumps(self.to_json_dict(), indent=2,

@@ -290,15 +290,6 @@ def bruhat_leq(w1, w2):
     return True
 
 
-def rank_entry(w, i, j):
-    """r_w(i,j) = #{k <= i : w(k) <= j} with 1-based i, j."""
-    c = 0
-    for k in range(i):
-        if w[k] <= j:
-            c += 1
-    return c
-
-
 def admissible_pairs(w):
     """All 1-based pairs (i, j), i < j, with w(i) > w(j) and no intermediate
     position whose value lies strictly between w(j) and w(i).

@@ -105,33 +105,8 @@ class Character(Record):
             raise ValueError(f"index {i} out of range 1..{n}")
         return cls(tuple(1 if k == i else 0 for k in range(1, n + 1)), b)
 
-    @classmethod
-    def zero(cls, n: int) -> "Character":
-        return cls((0,) * n, 0)
-
-    @classmethod
-    def parse(cls, text: str) -> "Character":
-        a, b = _parse_char_text(text)
-        if any(x.denominator != 1 for x in a) or b.denominator != 1:
-            raise ValueError(f"character {text!r} has non-integer entries")
-        return cls(tuple(int(x) for x in a), int(b))
-
     def vector(self) -> tuple[int, ...]:
         return self.a + (self.b,)
-
-    def __add__(self, other):
-        _check_char_ranks(self, other)
-        return Character(tuple(x + y for x, y in zip(self.a, other.a)), self.b + other.b)
-
-    def __sub__(self, other):
-        _check_char_ranks(self, other)
-        return Character(tuple(x - y for x, y in zip(self.a, other.a)), self.b - other.b)
-
-    def __neg__(self):
-        return Character(tuple(-x for x in self.a), -self.b)
-
-    def __rmul__(self, c: int):
-        return Character(tuple(c * x for x in self.a), c * self.b)
 
     def __str__(self) -> str:
         return ",".join(map(str, self.a)) + "|" + str(self.b)
@@ -171,21 +146,6 @@ class RatCharacter(Record):
             raise ValueError(f"{self} is not integral")
         return Character(tuple(int(x) for x in self.a), int(self.b))
 
-    def __add__(self, other):
-        _check_char_ranks(self, other)
-        return RatCharacter(tuple(x + y for x, y in zip(self.a, other.a)), self.b + other.b)
-
-    def __sub__(self, other):
-        _check_char_ranks(self, other)
-        return RatCharacter(tuple(x - y for x, y in zip(self.a, other.a)), self.b - other.b)
-
-    def __neg__(self):
-        return RatCharacter(tuple(-x for x in self.a), -self.b)
-
-    def __rmul__(self, c):
-        c = Fraction(c)
-        return RatCharacter(tuple(c * x for x in self.a), c * self.b)
-
     def __str__(self) -> str:
         return ",".join(map(str, self.a)) + "|" + str(self.b)
 
@@ -218,11 +178,6 @@ def _parse_char_text(text: str):
     return a, b
 
 
-def _check_char_ranks(x, y):
-    if x.n != y.n:
-        raise ValueError(f"rank mismatch: {x.n} vs {y.n}")
-
-
 # ---------------------------------------------------------------------------
 # roots
 
@@ -236,11 +191,11 @@ class RootKind(IntEnum):
     LONG = 2  # 2 e_i
 
 
-@functools.total_ordering
 class Root(Record):
     """A positive root of the rank-n system: e_i - e_j, e_i + e_j or 2 e_i.
 
-    Roots order by family (as numbered in RootKind), then i, then j."""
+    The root order, by family (as numbered in RootKind), then i, then j,
+    is the sort key `root_order`."""
 
     kind: RootKind
     i: int
@@ -249,11 +204,6 @@ class Root(Record):
     def __init__(self, kind: RootKind, i: int, j: int = 0):
         vars(self).update(kind=kind, i=i, j=j)
         self.__post_init__()
-
-    def __lt__(self, other):
-        if other.__class__ is not Root:
-            return NotImplemented
-        return root_order(self) < root_order(other)
 
     def __post_init__(self):
         if self.kind is RootKind.LONG:
@@ -287,17 +237,6 @@ class Root(Record):
         if top > n:
             raise ValueError(f"root {self} does not fit rank {n}")
 
-    def as_character(self, n: int) -> Character:
-        """The root written in the character coordinates (b = 0): the coroot
-        times 2 / <coroot, coroot>, and that norm is the number of pairs,
-        since every coroot coefficient is +-1."""
-        self.check_rank(n)
-        a = [0] * n
-        scale = 2 // len(self.coroot)
-        for k, c in self.coroot:
-            a[k] = scale * c
-        return Character(tuple(a), 0)
-
     def coroot_row(self, n: int) -> tuple[int, ...]:
         """Coefficients of the pairing functional <., alpha^vee> on (a_1..a_n)."""
         self.check_rank(n)
@@ -313,25 +252,8 @@ class Root(Record):
             return f"e{self.i}+e{self.j}"
         return f"2e{self.i}"
 
-    @classmethod
-    def parse(cls, text: str) -> "Root":
-        t = text.strip().replace(" ", "")
-        try:
-            if t.startswith("2e"):
-                return cls.long(int(t[2:]))
-            if "-" in t:
-                left, right = t.split("-")
-                return cls.diff(int(left[1:]), int(right[1:]))
-            if "+" in t:
-                left, right = t.split("+")
-                return cls.sum(int(left[1:]), int(right[1:]))
-        except (ValueError, IndexError):
-            pass
-        raise ValueError(f"cannot parse root {text!r}")
 
-
-# the sort key of the root order: the fields Root's __lt__ compares, taken
-# in C instead of through a Python-level __lt__ per comparison
+# the sort key of the root order, taken in C
 root_order = attrgetter("kind", "i", "j")
 
 
@@ -378,10 +300,6 @@ def sum_orbit(n: int) -> list[Root]:
     return [Root.sum(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
-def simple_roots(n: int) -> list[Root]:
-    return levi_simple_roots(n) + [Root.long(n)]
-
-
 def levi_simple_roots(n: int) -> list[Root]:
     """The simple roots inside the Levi (the set I)."""
     return [Root.diff(i, i + 1) for i in range(1, n)]
@@ -399,11 +317,6 @@ def pairing(lam: AnyCharacter, alpha: Root):
     return a[alpha.i - 1]
 
 
-def is_I_dominant(lam: AnyCharacter) -> bool:
-    """Nonnegative pairing with every simple Levi coroot: a_1 >= ... >= a_n."""
-    return all(x >= y for x, y in zip(lam.a, lam.a[1:]))
-
-
 # ---------------------------------------------------------------------------
 # Weyl elements
 
@@ -411,9 +324,9 @@ def is_I_dominant(lam: AnyCharacter) -> bool:
 class WeylElem(Record):
     """A mirror window (w(1), ..., w(2n)).
 
-    Windows are validated once, at the boundary: the public constructor,
-    `parse` (the only way the CLI reads a window) and certificate loading
-    check that the window is a mirror permutation.  Products, inverses,
+    Windows are validated once, at the boundary: the public constructor
+    and `parse` (the only way the CLI reads a window) check that the
+    window is a mirror permutation.  Products, inverses,
     reflections and the enumeration helpers build mirror windows by
     construction and wrap them with `_trusted`, which skips the check.
     """
@@ -462,10 +375,6 @@ class WeylElem(Record):
 
     def length(self) -> int:
         return kernels.length(self.window)
-
-    @classmethod
-    def identity(cls, n: int) -> "WeylElem":
-        return cls(tuple(range(1, 2 * n + 1)))
 
     @classmethod
     def longest(cls, n: int) -> "WeylElem":
@@ -588,29 +497,6 @@ def reflection_swaps(n: int) -> Mapping[Root, tuple[tuple[int, int], ...]]:
     return MappingProxyType(table)
 
 
-def root_image(w: WeylElem, alpha: Root) -> tuple[Root, int]:
-    """The pair (beta, sign) with w . alpha = sign * beta and beta positive."""
-    vec = act(w, alpha.as_character(w.n)).a
-    roots = _roots_by_vector(w.n)
-    if vec in roots:
-        return roots[vec], 1
-    neg = tuple(-c for c in vec)
-    if neg in roots:
-        return roots[neg], -1
-    raise ValueError(f"{vec} is not a root vector")
-
-
-@functools.lru_cache(maxsize=32)
-def _roots_by_vector(n: int) -> Mapping[tuple[int, ...], Root]:
-    """Every positive root of rank n keyed by its vector; read-only."""
-    return MappingProxyType({alpha.as_character(n).a: alpha for alpha in positive_roots(n)})
-
-
-def inversion_count(w: WeylElem) -> int:
-    """Number of positive roots sent to negative roots by w."""
-    return sum(1 for alpha in positive_roots(w.n) if root_image(w, alpha)[1] < 0)
-
-
 # ---------------------------------------------------------------------------
 # enumeration helpers
 
@@ -631,11 +517,6 @@ def _weyl_windows(n: int) -> Iterator[tuple[int, ...]]:
             yield first + tuple([top - x for x in first[::-1]])
 
 
-def weyl_elements(n: int) -> Iterator[WeylElem]:
-    """The windows of `weyl_windows` as elements, in the same order."""
-    return map(WeylElem._trusted, weyl_windows(n))
-
-
 def levi_elements(n: int) -> list[WeylElem]:
     """The n! windows stabilizing {1..n} (the Levi Weyl group)."""
     if n < 1:
@@ -647,14 +528,3 @@ def levi_elements(n: int) -> list[WeylElem]:
         out.append(WeylElem._trusted(perm + second))
     return out
 
-
-def random_element(n: int, rng) -> WeylElem:
-    """A uniformly random mirror window from an externally seeded RNG."""
-    if n < 1:
-        raise ValueError(f"rank must be at least 1, got {n}")
-    m = 2 * n
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    first = tuple(p if rng.random() < 0.5 else m + 1 - p for p in perm)
-    second = tuple(m + 1 - x for x in reversed(first))
-    return WeylElem._trusted(first + second)

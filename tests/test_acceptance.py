@@ -9,6 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from reference import fraction_residual, inversion_count, random_element, weyl_elements
 from zipcone.bruhat import enum_IW, lower_neighbors, lower_neighbors_oracle
 from zipcone.certify import envelope_certificate
 from zipcone.cones import (
@@ -33,12 +34,7 @@ from zipcone.sweeps import (
     random_dominant_character,
     random_rat_character,
 )
-from zipcone.weylroot import (
-    canonical_elements,
-    inversion_count,
-    random_element,
-    weyl_elements,
-)
+from zipcone.weylroot import canonical_elements
 
 
 @contextmanager
@@ -60,7 +56,7 @@ def test_criterion_1_gamma_bijection():
         rng = random.Random(20240501)
         for _ in range(500):
             w = random_element(5, rng)
-            assert lower_neighbors(w).roots == lower_neighbors_oracle(w).roots
+            assert lower_neighbors(w).mask == lower_neighbors_oracle(w).mask
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"runtime budget exceeded: {elapsed:.1f}s"
 
@@ -165,7 +161,7 @@ def test_criterion_7_redundancy_claims():
                 rest = [prefix_functional(n, p, j) for j in range(1, n)]
                 rest += dominance_functionals(n)
                 cert = farkas_implies(prefix_functional(n, p, n), rest)
-                assert cert.implied and all(r == 0 for r in cert.residual)
+                assert cert.implied and not any(fraction_residual(cert.target, cert.system, cert.multipliers))
         for n in (2, 3, 4):
             for p in (2, 3, 5):
                 rng = random.Random(20240507 + 100 * n + p)

@@ -380,6 +380,7 @@ LIMIT_CASES = {
     ("weyl", "--elem", None): (lambda v: ["weyl", "--elem", w0(v)], "zipcone.weylroot.WeylElem.length"),
     ("neighbors", "--elem", None): (lambda v: ["neighbors", "--elem", w0(v), "--json"], "classed_pairs"),
     ("path", "--n", None): (lambda v: ["path", "--n", str(v), "--p", "5"], "verify_path_lemmas"),
+    ("path", "--p", None): (lambda v: ["path", "--n", "3", "--p", str(v)], "verify_path_lemmas"),
     ("cone-check", "--lambda", "--cone gs"): (
         lambda v: ["cone-check", "--cone", "gs", f"--lambda={char(v)}"], CONE_WORK
     ),
@@ -400,8 +401,14 @@ LIMIT_CASES = {
         )
         for cone in ("gs", "pha-wmax", "lmin-i")
     },
+    ("farkas", "--p", None): (
+        lambda v: ["farkas", "--cone", "lmin-i", "--p", str(v), "--target=1,0|0"], "_cone"
+    ),
     ("verify-theorem", "--n", None): (
         lambda v: ["verify-theorem", "--n", str(v), "--p", "5", "--json"], "envelope_certificate"
+    ),
+    ("verify-theorem", "--p", None): (
+        lambda v: ["verify-theorem", "--n", "3", "--p", str(v), "--json"], "envelope_certificate"
     ),
     ("enum-iw", "--n", None): (lambda v: ["enum-iw", "--n", str(v)], "enum_IW"),
     ("bruhat", "--elem", None): (lambda v: ["bruhat", "--elem", w0(v), "--elem2", w0(v)], "bruhat_leq"),
@@ -473,6 +480,19 @@ def test_limit_row(capsys, monkeypatch, key):
         assert (code, out) == (2, "")
         assert err.splitlines()[0] == f"error: {where}: {what} must be {side} {bound}, got {bound + past}"
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--json", "--out"])
+def test_a_p_past_its_row_writes_no_byte(capsys, tmp_path, flag):
+    """A 2,200-digit p once wrote 57,871 bytes of JSON and then exited 2 on
+    CPython's 4,300-digit limit for int-to-str conversion; its row now
+    refuses it before the first byte and before --out is opened."""
+    out = tmp_path / "cert.json"
+    argv = ["verify-theorem", "--n", "2", "--p", "9" * 2200, flag] + ([str(out)] if flag == "--out" else [])
+    code, stdout, err = invoke(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: verify-theorem: --p must be at most 1000000000000000000, got 999")
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_bruhat_refuses_a_rank_mismatch_before_reading_either_window(capsys, monkeypatch):
@@ -629,10 +649,10 @@ def test_verify_theorem_refused_build_leaves_no_out_file(capsys, tmp_path):
 
 
 def test_verify_theorem_streams_without_check_records_or_a_joined_text(capsys, tmp_path, monkeypatch):
-    """`verify-theorem` writes the certificate blocks from the ledger: it
-    builds no `EnvelopeCheck` and never calls `to_json`, and its bytes are
+    """`verify-theorem` writes the certificate blocks from the ledger as
+    they are rendered: it builds no `EnvelopeCheck`, and its bytes are
     still the payload dump."""
-    from zipcone.certify import Certificate, EnvelopeCheck, envelope_certificate
+    from zipcone.certify import EnvelopeCheck, envelope_certificate
     from zipcone.hasse import verify_path_lemmas
 
     cert = envelope_certificate(4, 5)
@@ -640,10 +660,9 @@ def test_verify_theorem_streams_without_check_records_or_a_joined_text(capsys, t
     reference = json.dumps(payload, indent=2, sort_keys=True)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the CLI built a check record or joined the text")
+        raise AssertionError("the CLI built a check record")
 
     monkeypatch.setattr(EnvelopeCheck, "__init__", refuse)
-    monkeypatch.setattr(Certificate, "to_json", refuse)
     target = tmp_path / "cert.json"
     argv = ["verify-theorem", "--n", "4", "--p", "5", "--path-report", "--out", str(target)]
     code, out, _ = invoke(capsys, *argv, "--json")

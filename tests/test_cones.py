@@ -6,6 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import (
+    dense_preimage,
+    fraction_residual,
+    random_element,
+    root_set,
+    weight,
+    weyl_elements,
+    worst_subset,
+)
 from zipcone.cones import (
     Cone,
     FarkasCertificate,
@@ -25,27 +34,22 @@ from zipcone.cones import (
     pha_wmax_member,
     prefix_functional,
     weight_preimage,
-    worst_subset,
 )
-from zipcone.hasse import hasse_map
 from zipcone.linalg import dot
 from zipcone.sweeps import random_dominant_character, random_rat_character
 from zipcone.weylroot import (
     Character,
     RatCharacter,
     Root,
-    act,
     canonical_elements,
     long_orbit,
-    random_element,
     sum_orbit,
-    weyl_elements,
 )
 
 
 def test_cone_gs_examples():
     gs = cone_GS(2)
-    assert gs.member(Character.zero(2))
+    assert gs.member(Character((0, 0), 0))
     assert gs.member(Character((-1, -2), 3))
     assert not gs.member(Character.unit(2, 1, b=1))
 
@@ -64,12 +68,12 @@ def test_cone_rejects_bad_generator():
 
 
 def test_lmin_member_examples():
-    assert lmin_member(Character.zero(3), 2)
+    assert lmin_member(Character((0, 0, 0), 0), 2)
     assert lmin_member(Character((1, 1, -25), 1), 5)
     for p in (2, 3, 5, 7):
         assert not lmin_member(Character.unit(3, 1, b=1), p)
     with pytest.raises(ValueError):
-        lmin_member(Character.zero(2), 1)
+        lmin_member(Character((0, 0), 0), 1)
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (3, 3), (3, 5)])
@@ -162,7 +166,7 @@ def test_lmin_member_builds_no_roots(monkeypatch):
     lam = Character(tuple(range(8, -8, -1)), 0)
     for p in (2, 3, 5, 7):
         assert not lmin_member(lam, p)
-        assert lmin_member(-1 * Character.unit(16, 1), p)
+        assert lmin_member(Character((-1,) + (0,) * 15, 0), p)
     assert built == []
 
 
@@ -171,7 +175,7 @@ def test_lmin_enumeration_refuses_rank_above_limit():
 
     n = MAX_ENUMERATED_RANK + 1
     with pytest.raises(ValueError, match=f"limited to rank {MAX_ENUMERATED_RANK}, got {n}"):
-        lmin_member_enumerated(Character.zero(n), 3)
+        lmin_member_enumerated(Character((0,) * n, 0), 3)
 
 
 def test_lmin_prefix_cone_examples():
@@ -215,7 +219,7 @@ def test_farkas_trivial_example():
     cert = farkas_implies((1, 1, 0), Cone(3, ((1, 0, 0), (0, 1, 0))))
     assert cert.implied
     assert cert.multipliers == (1, 1)
-    assert all(r == 0 for r in cert.residual)
+    assert not any(fraction_residual(cert.target, cert.system, cert.multipliers))
 
 
 def test_farkas_redundant_last_prefix():
@@ -304,7 +308,7 @@ def test_tampered_witness_still_raises():
 
 def test_n3_exact_cone_examples():
     cone = n3_exact_cone(5)
-    assert cone.member(Character.zero(3))
+    assert cone.member(Character((0, 0, 0), 0))
     assert cone.member(Character((-1, -1, -1), 1))
     assert not cone.member(Character((1, 1, -25), 1))
 
@@ -326,13 +330,13 @@ def test_gs_cone_inside_lmin(n, p):
 
 def test_pha_w_member_examples():
     ce = canonical_elements(2)
-    assert pha_w_member(Character.zero(2), ce.w0, 3).member
+    assert pha_w_member(Character((0, 0), 0), ce.w0, 3).member
     res = pha_w_member(Character((1, -3), 0), ce.w0, 3)
     assert res.member
     assert res.chi.to_integral() == Character.unit(2, 1)
     assert res.chi_integral and not res.chi_parity_ok
     with pytest.raises(ValueError):
-        pha_w_member(Character.zero(2), ce.w0, 1)
+        pha_w_member(Character((0, 0), 0), ce.w0, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -362,8 +366,8 @@ def test_pha_w_member_random_strata():
         w = random_element(3, rng)
         p = rng.choice([2, 3, 5])
         chi = Character(tuple(rng.randint(-6, 6) for _ in range(3)), 0)
-        lam = (-1 * act(w, chi)) + p * act(canonical_elements(3).wmax, chi)
-        expected = all(pairing(chi, a) >= 0 for a in lower_neighbors(w).roots)
+        lam = weight(w, p, chi)
+        expected = all(pairing(chi, a) >= 0 for a in root_set(lower_neighbors(w)))
         assert pha_w_member(lam, w, p).member == expected
 
 
@@ -378,8 +382,8 @@ def test_weight_preimage_matches_the_dense_solve_on_every_element(n):
         for p in (2, 3, 5, 7, 13):
             lam = Character(tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-3, 3))
             chi = weight_preimage(lam, w, p)
-            assert chi == hasse_map(w, p).inverse_apply(lam)
-            assert (-1 * act(w, chi)) + p * act(canonical_elements(n).wmax, chi) == RatCharacter(lam.a, lam.b)
+            assert chi == dense_preimage(lam, w, p)
+            assert weight(w, p, chi) == RatCharacter(lam.a, lam.b)
 
 
 RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=9)
@@ -407,7 +411,7 @@ def test_weight_preimage_matches_the_dense_solve(case, p):
     n, seed, lam = case
     w = random_element(n, random.Random(seed))
     chi = weight_preimage(lam, w, p)
-    dense = hasse_map(w, p).inverse_apply(lam)
+    dense = dense_preimage(lam, w, p)
     assert chi == dense
     assert str(chi) == str(dense)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import fraction_residual
 from zipcone import certify, cones
 from zipcone.certify import envelope_certificate
 from zipcone.cones import (
@@ -123,15 +124,6 @@ def test_wrong_closed_form_breaks_envelope_certificate(monkeypatch):
         envelope_certificate(3, 5)
 
 
-def fraction_residual(target, system, mults):
-    """Reference: target minus the recombination, over Fraction."""
-    acc = [Fraction(t) for t in target]
-    for m, row in zip(mults, system):
-        for k, x in enumerate(row):
-            acc[k] -= Fraction(m) * x
-    return tuple(acc)
-
-
 @st.composite
 def certificates(draw):
     """A small integer system, rational multipliers and an integer target that
@@ -169,4 +161,4 @@ def test_integer_check_accepts_exactly_zero_fraction_residual(case):
             assert str(exc) == f"nonzero residual {residual}"
     else:
         assert min(mults) >= 0 and not any(residual)
-        assert cert.residual == residual
+        assert cert.implied

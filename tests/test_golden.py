@@ -35,9 +35,9 @@ import random
 
 import pytest
 
+from reference import random_element
 from zipcone.cli import run
 from zipcone.cones import cone_GS, lmin_prefix_cone, n3_exact_cone, pha_wmax_cone
-from zipcone.weylroot import random_element
 
 DIGESTS = {
     (1, 2): "14ae5a9dd6e67af5386f7362aaac63228194a9d219e2fb3e227cb3460ba618f2",

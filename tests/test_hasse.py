@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipcone.bruhat import is_separating, lower_neighbors
+from reference import dense_preimage, identity, random_element, root_set, weight, weyl_elements
+from zipcone.bruhat import NeighborSet, is_separating, lower_neighbors
 from zipcone.cones import lmin_member
 from zipcone.hasse import (
+    _reference_mask,
+    _restored_long_mask,
     anchor_element,
     compare_step_weights,
     descent_path,
-    eset_reference,
-    eset_verified,
     ha_closed_form,
     PathReport,
     hasse_map,
@@ -28,8 +29,6 @@ from zipcone.weylroot import (
     act,
     canonical_elements,
     pairing,
-    random_element,
-    weyl_elements,
 )
 
 
@@ -41,44 +40,39 @@ def replace(record, **changes):
 
 def test_hasse_map_rejects_small_p():
     with pytest.raises(ValueError):
-        hasse_map(WeylElem.identity(2), 1)
-
-
-def weight(w, p, chi):
-    """The weight map's definition, -w(chi) + p*wmax(chi), written with act."""
-    return (-1 * act(w, chi)) + p * act(canonical_elements(w.n).wmax, chi)
+        hasse_map(identity(2), 1)
 
 
 def test_hasse_map_zero_and_linearity():
-    hm = hasse_map(canonical_elements(2).w0, 3)
-    zero = Character.zero(2)
-    assert hm.inverse_apply(zero).to_integral() == zero
+    w0 = canonical_elements(2).w0
+    zero = Character((0, 0), 0)
+    assert dense_preimage(zero, w0, 3).to_integral() == zero
     x = Character((2, -1), 1)
     y = Character((0, 4), 1)
-    assert hm.inverse_apply(x + y) == hm.inverse_apply(x) + hm.inverse_apply(y)
+    both = [a + b for a, b in zip(dense_preimage(x, w0, 3).vector(), dense_preimage(y, w0, 3).vector())]
+    assert dense_preimage(Character((2, 3), 2), w0, 3).vector() == tuple(both)
 
 
 def test_hasse_map_example():
     w0 = canonical_elements(2).w0
     e1 = Character.unit(2, 1)
     assert weight(w0, 3, e1) == Character((1, -3), 0)
-    assert hasse_map(w0, 3).inverse_apply(Character((1, -3), 0)).to_integral() == e1
+    assert dense_preimage(Character((1, -3), 0), w0, 3).to_integral() == e1
 
 
 def test_hasse_map_at_wmax_is_scaled_action():
     for n, p in [(2, 3), (3, 5)]:
         wmax = canonical_elements(n).wmax
-        hm = hasse_map(wmax, p)
         for k in range(1, n + 1):
             e = Character.unit(n, k)
-            assert hm.inverse_apply((p - 1) * act(wmax, e)).to_integral() == e
+            scaled = Character(tuple((p - 1) * x for x in act(wmax, e).a), 0)
+            assert dense_preimage(scaled, wmax, p).to_integral() == e
 
 
 def test_hasse_map_preserves_parity():
     rng = random.Random(2)
     for n, p in [(2, 2), (3, 3), (4, 5)]:
         for w in [canonical_elements(n).w0, canonical_elements(n).wmax]:
-            hm = hasse_map(w, p)
             for _ in range(25):
                 a = [rng.randint(-9, 9) for _ in range(n)]
                 b = sum(a) % 2 + 2 * rng.randint(-2, 2)
@@ -86,33 +80,32 @@ def test_hasse_map_preserves_parity():
                 assert chi.satisfies_parity
                 lam = weight(w, p, chi)
                 assert lam.satisfies_parity
-                assert hm.inverse_apply(lam).to_integral() == chi
+                assert dense_preimage(lam, w, p).to_integral() == chi
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_hasse_map_injective(n, p):
-    # inverse_apply raises unless the matrix is invertible
+    # the dense solve raises unless the matrix is invertible
     chi = Character(tuple(range(1, n + 1)), 1)
     for w in weyl_elements(n):
-        assert hasse_map(w, p).inverse_apply(weight(w, p, chi)).to_integral() == chi
+        assert dense_preimage(weight(w, p, chi), w, p).to_integral() == chi
 
 
 def test_hasse_map_b_coordinate():
     w0 = canonical_elements(3).w0
     b = Character((0, 0, 0), 1)
     assert weight(w0, 5, b) == Character((0, 0, 0), 4)
-    assert hasse_map(w0, 5).inverse_apply(Character((0, 0, 0), 4)).to_integral() == b
+    assert dense_preimage(Character((0, 0, 0), 4), w0, 5).to_integral() == b
 
 
 def test_inverse_apply_round_trip():
     rng = random.Random(9)
     for n, p in [(2, 2), (3, 3), (4, 5)]:
         for w in [canonical_elements(n).w0, canonical_elements(n).wmax, random_element(n, rng)]:
-            hm = hasse_map(w, p)
             for _ in range(20):
                 chi = Character(tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-4, 4))
-                assert hm.inverse_apply(weight(w, p, chi)).to_integral() == chi
+                assert dense_preimage(weight(w, p, chi), w, p).to_integral() == chi
 
 
 def test_anchor_elements():
@@ -194,7 +187,7 @@ def test_step_weight_is_the_computed_weight(n, p):
     for s in steps:
         closed = step_weight(n, p, s.d, s.i)
         assert s.ha == closed
-        assert closed == (-1 * act(s.w, s.chi)) + p * act(wmax, s.chi)
+        assert closed == weight(s.w, p, s.chi)
         # the two window facts of the proof in step_weight's docstring
         assert s.w(s.i + 1) == 2 * n + 1 - (s.d - s.i)
         assert wmax(s.i + 1) == n + 1 + s.i
@@ -204,7 +197,11 @@ def test_descent_path_checks_the_closed_form_step_weight(monkeypatch):
     import zipcone.hasse as hasse
 
     real = hasse.step_weight
-    monkeypatch.setattr(hasse, "step_weight", lambda n, p, d, i: 2 * real(n, p, d, i))
+
+    def doubled(n, p, d, i):
+        return Character(tuple(2 * x for x in real(n, p, d, i).a), 0)
+
+    monkeypatch.setattr(hasse, "step_weight", doubled)
     with pytest.raises(AssertionError, match="step weight"):
         descent_path(3, 5)
     monkeypatch.setattr(hasse, "step_weight", real)
@@ -251,12 +248,20 @@ def test_chi_orthogonality_on_computed_esets():
     # misses at d = n-1
     for n in (2, 3, 4, 5):
         for step in descent_path(n, 2):
-            roots = lower_neighbors(step.w).roots
+            roots = root_set(lower_neighbors(step.w))
             assert step.beta in roots
             assert pairing(step.chi, step.beta) == 1
             for alpha in roots:
                 if alpha != step.beta:
                     assert pairing(step.chi, alpha) == 0
+
+
+def eset_reference(n, d, i):
+    return root_set(NeighborSet(identity(n), _reference_mask(n, d, i)))
+
+
+def eset_verified(n, d, i):
+    return root_set(NeighborSet(identity(n), _reference_mask(n, d, i) | _restored_long_mask(n, d, i)))
 
 
 def test_eset_reference_rank2():
@@ -274,7 +279,7 @@ def test_eset_closed_forms_rank3():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_every_path_element_has_n_lower_neighbors(n):
     for step in descent_path(n, 2):
-        assert len(lower_neighbors(step.w).roots) == n
+        assert len(root_set(lower_neighbors(step.w))) == n
 
 
 def test_verify_path_lemmas_rank2():
@@ -312,7 +317,7 @@ def test_path_report_to_json_matches_the_payload_dump(p):
     # n = 1 has no steps
     for n in range(1, 19):
         report = verify_path_lemmas(n, p)
-        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+        assert "".join(report.iter_json()) == json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
 
 
 def test_path_report_to_json_matches_the_payload_dump_on_a_hand_built_report():
@@ -336,7 +341,7 @@ def test_path_report_to_json_matches_the_payload_dump_on_a_hand_built_report():
     )
     for report in (PathReport(3, 5, (failed,) + real.steps), PathReport(3, 5, (failed,))):
         assert not report.all_passed and report.reference_mismatches
-        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+        assert "".join(report.iter_json()) == json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -347,10 +352,11 @@ def test_path_report_streams_one_block_per_step(n):
     report = verify_path_lemmas(n, 3)
     blocks = list(report.iter_json())
     assert len(blocks) == len(report.steps) + 2
-    assert "".join(blocks) == report.to_json()
+    text = "".join(blocks)
+    assert text == json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     for step, block in zip(report.steps, blocks[1:]):
         assert f'"window": "{step.window}"' in block
-    assert "".join(report.iter_json(1)) == report.to_json().replace("\n", "\n  ")
+    assert "".join(report.iter_json(1)) == text.replace("\n", "\n  ")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import random_element, rank_entry, weyl_elements
 from zipcone import kernels
 from zipcone.hasse import descent_path
 from zipcone.sweeps import gamma_suite, lmin_oracle_suite
@@ -11,10 +12,8 @@ from zipcone.weylroot import (
     Root,
     canonical_elements,
     positive_roots,
-    random_element,
     reflection_swaps,
     reflection_window,
-    weyl_elements,
     weyl_windows,
 )
 
@@ -204,7 +203,7 @@ def bruhat_leq_by_rank_matrix(w1, w2):
     """w1 <= w2 from the definition: r_{w1}(i,j) >= r_{w2}(i,j) for all i, j."""
     m = len(w1)
     return all(
-        kernels.rank_entry(w1, i, j) >= kernels.rank_entry(w2, i, j)
+        rank_entry(w1, i, j) >= rank_entry(w2, i, j)
         for i in range(1, m + 1)
         for j in range(1, m + 1)
     )
@@ -219,8 +218,8 @@ def test_rank_matrix_mirror_identity(n):
     for win in weyl_windows(n):
         for i in range(m + 1):
             for j in range(m + 1):
-                expected = m - i - j + kernels.rank_entry(win, i, j)
-                assert kernels.rank_entry(win, m - i, m - j) == expected, (win, i, j)
+                expected = m - i - j + rank_entry(win, i, j)
+                assert rank_entry(win, m - i, m - j) == expected, (win, i, j)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -12,7 +12,7 @@ from zipcone.certify import envelope_certificate
 from zipcone.cones import cone_GS, farkas_implies, pha_w_member
 from zipcone.hasse import descent_path, hasse_map, verify_path_lemmas
 from zipcone.sweeps import gamma_suite
-from zipcone.weylroot import Character, RatCharacter, Record, Root, WeylElem, positive_roots
+from zipcone.weylroot import Character, RatCharacter, Record, Root, WeylElem, positive_roots, root_order
 
 
 def _samples():
@@ -85,8 +85,8 @@ def test_shuffled_roots_sort_back_into_root_order(n):
     roots = positive_roots(n)
     shuffled = roots[:]
     random.Random(n).shuffle(shuffled)
-    assert sorted(shuffled) == roots
-    assert max(shuffled) == roots[-1] and min(shuffled) == roots[0]
+    assert sorted(shuffled, key=root_order) == roots
+    assert max(shuffled, key=root_order) == roots[-1] and min(shuffled, key=root_order) == roots[0]
 
 
 def test_trusted_character_equals_the_validated_one():
